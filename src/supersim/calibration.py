@@ -47,8 +47,9 @@ def _dim_entry(d: int) -> dict:
     available = sorted(int(k) for k in dims)
     if not available:
         raise ValidationError("empty calibration table")
-    matches = [a for a in available if a >= d]
-    chosen = matches[0] if matches else available[-1]
+    # C falls with d, so borrowing the next smaller calibrated d is conservative.
+    below = [a for a in available if a <= d]
+    chosen = below[-1] if below else available[0]
     return dims[str(chosen)]
 
 

@@ -12,9 +12,9 @@ direction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .linalg import (
     DensityOperator,
     PureDensity,
     StateVector,
+    _derived,
+    decode_complex,
+    encode_complex,
     kron_all,
     outer,
     partial_trace,
@@ -148,7 +151,7 @@ def apply_postselection(
     """Unnormalized conditional output tr_K[Pi V (in) V^dag Pi]."""
     rho = _circuit_input(c, u, v)
     conditioned = c.pi_succ @ c.V @ rho @ c.V.conj().T @ c.pi_succ
-    full = DensityOperator((conditioned + conditioned.conj().T) / 2)
+    full = _derived(DensityOperator, (conditioned + conditioned.conj().T) / 2)
     return partial_trace(full, c.keep, c.factor_dims)
 
 
@@ -247,23 +250,11 @@ def g_normalized(A: AMap, x: StateVector) -> complex:
 
 # --- circuit (de)serialization ------------------------------------------
 
-def _encode_matrix(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def _decode_matrix(data) -> np.ndarray:
-    try:
-        arr = np.array([[complex(re, im) for re, im in row] for row in data])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed matrix: {exc}") from None
-    return arr
-
-
 def save_circuit(path: Union[str, Path], c: MultiOutcomeCircuit) -> None:
     payload = {
         "dims": {"d": c.d, "copies": list(c.copies), "anc": c.d_anc},
-        "V": _encode_matrix(c.V),
-        "projectors": [_encode_matrix(p) for p in c.projectors],
+        "V": encode_complex(c.V),
+        "projectors": [encode_complex(p) for p in c.projectors],
         "keep": list(c.keep),
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True))
@@ -274,8 +265,8 @@ def load_circuit(path: Union[str, Path]) -> MultiOutcomeCircuit:
         payload = json.loads(Path(path).read_text())
         dims = payload["dims"]
         return MultiOutcomeCircuit(
-            V=_decode_matrix(payload["V"]),
-            projectors=tuple(_decode_matrix(p) for p in payload["projectors"]),
+            V=decode_complex(payload["V"]),
+            projectors=tuple(decode_complex(p) for p in payload["projectors"]),
             d=int(dims["d"]),
             copies=tuple(int(x) for x in dims["copies"]),
             d_anc=int(dims.get("anc", 1)),

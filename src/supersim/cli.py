@@ -20,7 +20,6 @@ import jsonschema
 import numpy as np
 
 from . import seeding
-from .config import max_dim
 from .errors import SupersimError, ValidationError
 from .circuits import (
     conjugate_bra,
@@ -28,9 +27,9 @@ from .circuits import (
     teleport_identity_check,
 )
 from .linalg import (
-    DensityOperator,
     PureDensity,
     StateVector,
+    encode_complex,
     load_state,
     outer,
 )
@@ -47,18 +46,6 @@ from .superpose import (
 )
 from .tomo import StateOracle, calibrate_schedule, vector_tomography
 from .vecfun import discontinuity_probe
-
-
-def _encode_complex(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _encode_matrix(m: np.ndarray) -> list:
-    return [[_encode_complex(z) for z in row] for row in m]
-
-
-def _encode_vector(v: np.ndarray) -> list:
-    return [_encode_complex(z) for z in v]
 
 
 def _parse_complex(text: str) -> complex:
@@ -116,9 +103,9 @@ def _cmd_tomo(args) -> dict:
                 "eps_vec": schedule.eps_vec,
                 "delta_vec": schedule.delta_vec,
             },
-            "estimate": _encode_matrix(est.x.matrix),
+            "estimate": encode_complex(est.x.matrix),
             "r": est.r,
-            "vector": _encode_vector(est.v.amplitudes),
+            "vector": encode_complex(est.v.amplitudes),
         },
     }
 
@@ -144,7 +131,7 @@ def _cmd_superpose(args) -> dict:
             {
                 "r": list(r),
                 "weight": w,
-                "state": _encode_matrix(state.matrix),
+                "state": encode_complex(state.matrix),
             }
             for r, (w, state) in sorted(ent.blocks.items())
         ]
@@ -154,7 +141,7 @@ def _cmd_superpose(args) -> dict:
         )
         results["r"] = list(out.r)
         results["phi_r"] = out.phi_r
-        results["state"] = _encode_matrix(out.state.matrix)
+        results["state"] = encode_complex(out.state.matrix)
         results["merit"] = superposition_error(out, u, v, spec)
     return {
         "subcommand": "superpose",
@@ -162,8 +149,8 @@ def _cmd_superpose(args) -> dict:
         "inputs": {
             "u": args.u,
             "v": args.v,
-            "alpha": _encode_complex(spec.alpha),
-            "beta": _encode_complex(spec.beta),
+            "alpha": encode_complex(spec.alpha),
+            "beta": encode_complex(spec.beta),
             "eps": args.eps,
             "exact": args.exact,
         },
@@ -196,8 +183,8 @@ def _cmd_audit(args) -> dict:
         "seed": args.seed,
         "inputs": {
             "candidate": args.candidate,
-            "alpha": _encode_complex(spec.alpha),
-            "beta": _encode_complex(spec.beta),
+            "alpha": encode_complex(spec.alpha),
+            "beta": encode_complex(spec.beta),
             "samples": args.samples,
         },
         "results": {
@@ -256,6 +243,8 @@ def _cmd_table1(args) -> dict:
     """Random superposition is achievable while plain superposition is not."""
     eps = 0.25
     d = 2
+    if args.runs < 1:
+        raise ValidationError(f"need at least one run, got {args.runs}")
     hits = 0
     for run in range(args.runs):
         rng = seeding.rng_for(args.seed, seeding.RUN, run)

@@ -1,7 +1,7 @@
 """Shared numeric tolerances and size caps.
 
-Every module reads its tolerances from the single record below so there is
-one knob for the whole package.
+`TOL.nonzero` is the one tolerance shared across modules; invariant checks
+state their own bounds where they are made.
 """
 
 import os
@@ -10,9 +10,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    construction: float = 1e-12  # invariants checked when values are built
-    check: float = 1e-10         # looser bound used by property checks
-    nonzero: float = 1e-12       # amplitudes/diagonals below this count as zero
+    nonzero: float = 1e-12  # amplitudes/diagonals below this count as zero
 
 
 TOL = Tolerances()

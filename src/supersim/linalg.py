@@ -6,7 +6,10 @@ Conventions fixed here and relied on everywhere else:
   pure states sit at distance 2;
 * tensor products order subsystems with the leftmost factor most
   significant;
-* all values are immutable after construction and all operations are pure.
+* all values are immutable after construction and all operations are pure;
+* invariants are checked once, at the trust boundary: the public
+  constructors and `load_state` validate, while values the package derives
+  from validated values are built by `_derived` and not re-checked.
 """
 
 from __future__ import annotations
@@ -33,6 +36,11 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_finite(array: np.ndarray) -> None:
+    if not np.isfinite(array).all():
+        raise ValidationError("entries must be finite (found NaN or inf)")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Unit vector in C^d.  Set normalized=False to carry a raw vector."""
@@ -47,8 +55,10 @@ class StateVector:
             raise ValidationError("empty state vector")
         if self.normalized:
             norm = np.linalg.norm(amps)
-            if abs(norm - 1.0) > 1e-9:
+            if not abs(norm - 1.0) <= 1e-9:  # also false for NaN or inf entries
                 raise NormalizationError(f"norm {norm} is not 1")
+        else:
+            _require_finite(amps)
 
     @property
     def dim(self) -> int:
@@ -71,6 +81,7 @@ class DensityOperator:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"matrix shape {mat.shape} is not square")
         object.__setattr__(self, "matrix", mat)
+        _require_finite(mat)
         herm_defect = np.max(np.abs(mat - mat.conj().T))
         if herm_defect > 1e-9:
             raise ValidationError(f"not Hermitian (defect {herm_defect:.2e})")
@@ -105,12 +116,19 @@ class PureDensity(DensityOperator):
             raise ValidationError(f"not idempotent (defect {idem_defect:.2e})")
 
 
+def _derived(cls, matrix: np.ndarray):
+    """A `cls` around a matrix derived from validated values, left unchecked."""
+    state = object.__new__(cls)
+    object.__setattr__(state, "matrix", _frozen(matrix))
+    return state
+
+
 def outer(psi: StateVector) -> PureDensity:
-    """|psi><psi| for a normalized psi."""
-    if not psi.normalized or abs(psi.norm() - 1.0) > 1e-9:
+    """|psi><psi| for a normalized psi (its constructor checked the norm)."""
+    if not psi.normalized:
         raise NormalizationError("outer() requires a unit vector")
     a = psi.amplitudes
-    return PureDensity(np.outer(a, a.conj()))
+    return _derived(PureDensity, np.outer(a, a.conj()))
 
 
 def _require_same_dim(a, b) -> None:
@@ -139,7 +157,7 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     combined = a.dim * b.dim
     if combined > max_dim():
         raise TensorCapError(f"combined dim {combined} exceeds cap {max_dim()}")
-    return DensityOperator(np.kron(a.matrix, b.matrix))
+    return _derived(DensityOperator, np.kron(a.matrix, b.matrix))
 
 
 def kron_all(matrices: Iterable[np.ndarray]) -> np.ndarray:
@@ -166,7 +184,7 @@ def partial_trace(
     out_labels = [i for i in keep] + [n + i for i in keep]
     reduced = np.einsum(t, row + col, out_labels)
     d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return DensityOperator(reduced.reshape(d_keep, d_keep))
+    return _derived(DensityOperator, reduced.reshape(d_keep, d_keep))
 
 
 def canonical_phase(v: np.ndarray, threshold: float = TOL.nonzero) -> np.ndarray:
@@ -184,6 +202,7 @@ def dominant_pure(matrix: np.ndarray) -> PureDensity:
     the canonical representatives entrywise, preferring weight on earlier
     coordinates (diag(1/2, 1/2) resolves to |0><0|).
     """
+    _require_finite(matrix)
     m = (matrix + matrix.conj().T) / 2
     if np.max(np.abs(m)) <= TOL.nonzero:
         raise ValidationError("cannot purify the zero matrix")
@@ -198,7 +217,7 @@ def dominant_pure(matrix: np.ndarray) -> PureDensity:
         return tuple(x for z in v for x in (z.real, z.imag))
     winner = max(candidates, key=key)
     winner = winner / np.linalg.norm(winner)
-    return PureDensity(np.outer(winner, winner.conj()))
+    return _derived(PureDensity, np.outer(winner, winner.conj()))
 
 
 def project_to_pure(h: DensityOperator) -> PureDensity:
@@ -207,6 +226,20 @@ def project_to_pure(h: DensityOperator) -> PureDensity:
 
 
 StateLike = Union[StateVector, DensityOperator]
+
+
+def encode_complex(values) -> list:
+    """JSON form of a complex scalar or array: [re, im] pairs in its shape."""
+    a = np.asarray(values, dtype=np.complex128)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def decode_complex(data) -> np.ndarray:
+    """Inverse of `encode_complex`; raises ValueError on malformed data."""
+    pairs = np.array(data)
+    if pairs.dtype.kind not in "biuf" or pairs.ndim == 0 or pairs.shape[-1] != 2:
+        raise ValidationError("complex data must be numeric [re, im] pairs")
+    return pairs[..., 0] + 1j * pairs[..., 1]
 
 
 def save_state(path: Union[str, Path], state: StateLike) -> None:
@@ -218,7 +251,7 @@ def save_state(path: Union[str, Path], state: StateLike) -> None:
     payload = {
         "dim": state.dim,
         "kind": kind,
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        "data": encode_complex(flat),
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True))
 
@@ -232,18 +265,16 @@ def load_state(path: Union[str, Path]) -> StateLike:
     try:
         dim = int(payload["dim"])
         kind = payload["kind"]
-        data = np.array(
-            [complex(re, im) for re, im in payload["data"]], dtype=np.complex128
-        )
+        data = decode_complex(payload["data"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed state file {path}: {exc}") from exc
     if kind == "vector":
-        if data.size != dim:
-            raise ValidationError(f"expected {dim} amplitudes, got {data.size}")
+        if data.shape != (dim,):
+            raise ValidationError(f"expected {dim} amplitudes, got shape {data.shape}")
         return StateVector(data)
     if kind == "density":
-        if data.size != dim * dim:
-            raise ValidationError(f"expected {dim * dim} entries, got {data.size}")
+        if dim < 1 or data.shape != (dim * dim,):
+            raise ValidationError(f"dim {dim} needs {dim * dim} entries, got shape {data.shape}")
         matrix = data.reshape(dim, dim)
         try:
             return PureDensity(matrix)

@@ -13,14 +13,14 @@ is `obstructed`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from . import seeding
 from .errors import RefinementNeededError, ValidationError, ZeroFunctionalError
-from .circuits import AMap, _candidate_output, complement_ket, g_normalized
-from .linalg import DensityOperator, PureDensity, StateVector, outer, trace_distance
+from .circuits import AMap, _candidate_output, g_normalized
+from .linalg import DensityOperator, PureDensity, StateVector, _derived, trace_distance
 from .superpose import SuperpositionSpec, target_superposition, threshold
 from .vecfun import canonical_vec
 
@@ -134,7 +134,7 @@ def _winding_along(A: AMap, x0: StateVector, k: int, n: int) -> int:
 def _best_phase_error(A: AMap, x: StateVector, spec: SuperpositionSpec) -> float:
     """Output error against the most favorable per-point target phase."""
     out, x, perp = _candidate_output(A, x)
-    rho = DensityOperator(out.matrix / out.trace)
+    rho = _derived(DensityOperator, out.matrix / out.trace)
     cross = np.conj(spec.alpha) * spec.beta * (
         x.amplitudes.conj() @ rho.matrix @ perp.amplitudes
     )
@@ -185,7 +185,7 @@ def ideal_candidate(spec: SuperpositionSpec, phi: float = 0.0) -> AMap:
             spec.alpha * np.exp(1j * phi) * canonical_vec(rho_u).amplitudes
             + spec.beta * canonical_vec(rho_v).amplitudes
         )
-        return DensityOperator(np.outer(w, w.conj()))
+        return _derived(DensityOperator, np.outer(w, w.conj()))
 
     return A
 
@@ -203,17 +203,17 @@ def mollified_candidate(spec: SuperpositionSpec, bandwidth: float = MOLLIFY_BAND
 
     def A(rho_u: PureDensity, rho_v: PureDensity) -> DensityOperator:
         w = spec.alpha * mvec(rho_u) + spec.beta * mvec(rho_v)
-        return DensityOperator(np.outer(w, w.conj()))
+        return _derived(DensityOperator, np.outer(w, w.conj()))
 
     return A
 
 
 def constant_candidate(spec: SuperpositionSpec) -> AMap:
     """Input-ignoring candidate: always |+><+|."""
-    plus = np.full((2, 2), 0.5, dtype=np.complex128)
+    plus = _derived(DensityOperator, np.full((2, 2), 0.5))
 
     def A(rho_u: PureDensity, rho_v: PureDensity) -> DensityOperator:
-        return DensityOperator(plus)
+        return plus
 
     return A
 

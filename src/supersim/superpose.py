@@ -38,7 +38,6 @@ from .tomo import (
     MIN_SHOTS,
     StateOracle,
     TomographySchedule,
-    VectorEstimate,
     _as_oracle,
     _oracle_density,
     schedule_for,
@@ -74,11 +73,7 @@ class RandomSuperpositionOutcome:
 
     r: IndexPair
     state: PureDensity
-    phi_r: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.phi_r < 2.0 * np.pi:
-            raise ValidationError(f"phi_r {self.phi_r} outside [0, 2pi)")
+    phi_r: float  # in [0, 2pi), as `_implied_phase` guarantees
 
 
 @dataclass(frozen=True)
@@ -285,13 +280,6 @@ def superposition_error(
     return trace_distance(outcome.state, tgt)
 
 
-def _block_state(
-    u: PureDensity, v: PureDensity, r: IndexPair, spec: SuperpositionSpec
-) -> PureDensity:
-    # Noiseless per-index output: what this r produces on the true states.
-    return _combine(u, v, r, spec, u.dim)
-
-
 def entangled_superposition(
     u: Union[PureDensity, StateOracle],
     v: Union[PureDensity, StateOracle],
@@ -325,7 +313,7 @@ def entangled_superposition(
         )
         counts[out.r] = counts.get(out.r, 0) + 1
     blocks = {
-        r: (c / trials, _block_state(truth_u, truth_v, r, spec))
+        r: (c / trials, _combine(truth_u, truth_v, r, spec, truth_u.dim))
         for r, c in sorted(counts.items())
     }
     return EntangledSuperposition(blocks=blocks)

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from . import seeding
-from .config import TOL
 from .errors import (
     IncompleteRecordsError,
     ValidationError,
@@ -200,8 +199,8 @@ def eps_vec_from_eps_tr(d: int, eps_tr: float) -> float:
 def schedule_for(d: int, N: int, kappa: float = 1.0) -> TomographySchedule:
     """Schedule from the shipped radius table, optionally trading a wider
     trace radius (kappa > 1) for a smaller failure probability."""
-    if N < MIN_SHOTS:
-        raise ValidationError(f"need at least {MIN_SHOTS} shots, got {N}")
+    if not MIN_SHOTS <= N <= TABLE_MAX_N:
+        raise ValidationError(f"shot count {N} outside [{MIN_SHOTS}, {TABLE_MAX_N:.0e}]")
     c = lookup_constant(d, N)
     eps_tr = kappa * c * d / np.sqrt(N)
     delta = DELTA_TR * np.exp(-tail_exponent(d) * (kappa**2 - 1.0))

@@ -290,3 +290,26 @@ def test_criterion_11_determinism(tmp_path):
         assert cli_main(argv + ["--out", str(b)]) == 0
         stable &= a.read_bytes() == b.read_bytes()
     report("criterion-11 determinism", stable, f"{len(invocations)} reports compared")
+
+
+def test_criterion_12_calibration_between_dims():
+    """The 5% trace-radius guarantee holds at uncalibrated d in {5, 6, 7}."""
+    start = time.time()
+    rates = {}
+    for d in (5, 6, 7):
+        schedule = calibrate_schedule(d, 1000)
+        misses = 0
+        for i in range(200):
+            rng = seeding.rng_for(2027, seeding.STATE, d, i)
+            truth = outer(StateVector(seeding.haar_state(rng, d)))
+            records = sample_measurements(
+                truth, schedule, seeding.child_seed(2027, seeding.TRIAL, d, i)
+            )
+            misses += trace_distance(reconstruct(records), truth) > schedule.eps_tr
+        rates[d] = misses / 200
+    elapsed = time.time() - start
+    report(
+        "criterion-12 calibration between dims",
+        all(rate <= 0.05 for rate in rates.values()),
+        f"failure rates {rates}, {elapsed:.1f}s",
+    )

@@ -1,0 +1,171 @@
+"""The trust boundary: public constructors and state files reject bad input,
+derived values skip the checks but satisfy them, and the CLI turns every
+rejection into the JSON error envelope with exit code 2."""
+
+import json
+
+import numpy as np
+import pytest
+
+import supersim
+from conftest import haar_density, haar_vector
+from supersim import calibration
+from supersim.circuits import load_circuit
+from supersim.cli import main
+from supersim.errors import ValidationError
+from supersim.linalg import (
+    DensityOperator,
+    PureDensity,
+    StateVector,
+    decode_complex,
+    dominant_pure,
+    encode_complex,
+    load_state,
+    outer,
+    partial_trace,
+    tensor,
+)
+from supersim.obstruction import BUILTIN_CANDIDATES
+from supersim.superpose import SuperpositionSpec
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_state_vector(self, bad):
+        with pytest.raises(ValidationError):
+            StateVector(np.array([bad, 0.0]))
+        with pytest.raises(ValidationError):
+            StateVector(np.array([bad, 1.0]), normalized=False)
+
+    @pytest.mark.parametrize("cls", [DensityOperator, PureDensity])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_density(self, cls, bad):
+        with pytest.raises(ValidationError):
+            cls(np.array([[1.0, 0.0], [0.0, bad]]))
+
+    def test_dominant_pure(self):
+        with pytest.raises(ValidationError):
+            dominant_pure(np.full((2, 2), np.nan))
+
+
+class TestDerivedValues:
+    """Values built without checks must still pass them."""
+
+    def test_outputs_satisfy_public_constructors(self, rng):
+        u, v = haar_density(rng, 2), haar_density(rng, 3)
+        prod = tensor(u, v)
+        noisy = u.matrix + 0.01 * rng.normal(size=(2, 2))
+        derived = [
+            (PureDensity, u),
+            (PureDensity, dominant_pure(noisy)),
+            (DensityOperator, prod),
+            (DensityOperator, partial_trace(prod, [1], [2, 3])),
+        ]
+        for cls, state in derived:
+            assert type(state) is cls
+            assert not state.matrix.flags.writeable
+            cls(state.matrix)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_CANDIDATES))
+    def test_builtin_candidate_outputs(self, name, rng):
+        spec = SuperpositionSpec(0.6, 0.8j)
+        x = haar_vector(rng, 2)
+        out = BUILTIN_CANDIDATES[name](spec)(outer(x), outer(haar_vector(rng, 2)))
+        DensityOperator(out.matrix)
+
+    def test_outer_still_requires_unit_flag(self):
+        with pytest.raises(ValidationError):
+            outer(StateVector(np.array([2.0, 0.0]), normalized=False))
+
+    def test_private_constructor_not_exported(self):
+        assert not any(name.startswith("_") for name in supersim.__all__)
+
+
+class TestComplexCodec:
+    def test_roundtrip_shapes(self, rng):
+        for shape in [(), (3,), (2, 2)]:
+            z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            assert np.array_equal(decode_complex(encode_complex(z)), z)
+
+    @pytest.mark.parametrize(
+        "data",
+        [[["1", "0"]], [[None, 0.0]], [[1.0, 2.0, 3.0]], [[1.0, 0.0], [1.0]], 5, [], {"a": 1}],
+    )
+    def test_rejects_malformed(self, data):
+        with pytest.raises(ValueError):
+            decode_complex(data)
+
+    def test_state_file_must_be_flat(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps({"dim": 2, "kind": "vector", "data": [[[1, 0], [0, 0]]]}))
+        with pytest.raises(ValidationError):
+            load_state(path)
+
+    def test_circuit_file_rejects_strings(self, tmp_path):
+        path = tmp_path / "circuit.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "dims": {"d": 2, "copies": [1, 0], "anc": 1},
+                    "V": [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
+                    "projectors": [],
+                    "keep": [0],
+                }
+            )
+        )
+        with pytest.raises(ValidationError):
+            load_circuit(path)
+
+
+class TestCalibrationRounding:
+    def test_uncalibrated_dims_borrow_the_smaller_entry(self):
+        table = calibration._table()["dims"]
+        for d, expected in [(2, "2"), (3, "3"), (4, "4"), (5, "4"), (7, "4"), (8, "8"), (16, "8")]:
+            assert calibration._dim_entry(d) is table[expected]
+
+
+def _expect_envelope(capsys, argv):
+    code = main(argv)
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert set(payload) == {"error"}
+    assert payload["error"]["type"].endswith("Error")
+    return payload["error"]
+
+
+class TestCliRejections:
+    def test_nan_vector_file(self, tmp_path, capsys):
+        path = tmp_path / "nan_vector.json"
+        path.write_text('{"dim": 2, "kind": "vector", "data": [[NaN, 0.0], [1.0, 0.0]]}')
+        _expect_envelope(capsys, ["tomo", "--state", str(path), "--shots", "1000"])
+
+    def test_nan_density_file(self, tmp_path, capsys):
+        path = tmp_path / "nan_density.json"
+        path.write_text(
+            '{"dim": 2, "kind": "density", '
+            '"data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [NaN, 0.0]]}'
+        )
+        _expect_envelope(capsys, ["tomo", "--state", str(path), "--shots", "1000"])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"dim": -2, "kind": "density", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+            {"dim": 2, "kind": "vector", "data": [[10**400, 0], [0, 0]]},
+        ],
+    )
+    def test_malformed_state_file(self, tmp_path, capsys, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        _expect_envelope(capsys, ["tomo", "--state", str(path), "--shots", "1000"])
+
+    def test_table1_zero_runs(self, capsys):
+        _expect_envelope(capsys, ["table1", "--runs", "0"])
+
+    def test_tomo_shots_beyond_table(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text('{"dim": 2, "kind": "vector", "data": [[1.0, 0.0], [0.0, 0.0]]}')
+        error = _expect_envelope(
+            capsys, ["tomo", "--state", str(path), "--shots", str(10**21)]
+        )
+        assert "outside" in error["message"]
