@@ -56,6 +56,13 @@ def _parse_complex(text: str) -> complex:
         raise ValidationError(f"expected RE,IM, got {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _load_density(path: str) -> PureDensity:
     state = load_state(path)
     if isinstance(state, StateVector):
@@ -118,9 +125,9 @@ def _cmd_superpose(args) -> dict:
         "threshold": threshold(spec),
         "trace_floor": trace_floor(spec, d),
     }
+    t_n, t_m = budget_thresholds(spec, d, args.eps)  # checks eps in exact mode too
     if not args.exact:
         n, m = copies_budget(spec, d, args.eps)
-        t_n, t_m = budget_thresholds(spec, d, args.eps)
         results["budgets"] = {"N": n, "M": m, "target_N": t_n, "target_M": t_m}
     if args.entangled:
         ent = entangled_superposition(
@@ -284,15 +291,22 @@ def _cmd_table1(args) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so they end in the JSON envelope like other bad input."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="supersim",
         description="Simulators and audits for superposing unknown quantum states.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", default=None, help="report path (default: stdout)")
 
     p = sub.add_parser("tomo", help="vector tomography of one state file")
@@ -348,15 +362,13 @@ _HANDLERS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         report = _HANDLERS[args.subcommand](args)
         _emit_report(report, args.out)
         return 0
+    except SystemExit as exc:  # --help printed the usage
+        return int(exc.code or 0)
     except ValidationError as exc:
         sys.stdout.write(
             json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n"

@@ -7,12 +7,18 @@ column-index pair r, reported alongside the state.  `copies_budget` sizes
 the shot counts so the figure of merit stays below a requested error, and
 `figure_of_merit` scores any multi-outcome map against its per-index
 targets.
+
+The budget search prices every (shot count N, radius widening kappa) cell
+of a fixed grid in one numpy pass, with the arithmetic of `schedule_for`,
+and takes the smallest N whose best kappa meets the target.  The second
+stage's cost is exactly twice the first's (scaling by 2 is exact in
+floating point), so one grid serves both stages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,32 +41,40 @@ from .linalg import (
     trace_distance,
 )
 from .tomo import (
+    DELTA_TR,
     MIN_SHOTS,
     StateOracle,
     TomographySchedule,
     _as_oracle,
     _oracle_density,
+    eps_vec_from_eps_tr,
     schedule_for,
     vector_tomography,
 )
-from .calibration import TABLE_MAX_N
+from .calibration import TABLE_MAX_N, lookup_constant, tail_exponent
 from .vecfun import canonical_vec, vec_i
 
 EQUAL_MAG_TOL = 1e-12
+# Magnitudes whose squares and products stay finite and nonzero in float64.
+COEFF_MAG_RANGE = (1e-100, 1e100)
 
 IndexPair = Tuple[int, int]
 
 
 @dataclass(frozen=True)
 class SuperpositionSpec:
-    """Coefficient pair (alpha, beta), both nonzero."""
+    """Coefficient pair (alpha, beta), both nonzero and finite."""
 
     alpha: complex
     beta: complex
 
     def __post_init__(self):
-        if abs(self.alpha) == 0.0 or abs(self.beta) == 0.0:
-            raise ValidationError("superposition coefficients must be nonzero")
+        lo, hi = COEFF_MAG_RANGE
+        if not all(lo <= abs(c) <= hi for c in (self.alpha, self.beta)):
+            raise ValidationError(
+                f"superposition coefficients need magnitudes in [{lo:g}, {hi:g}],"
+                f" got {self.alpha} and {self.beta}"
+            )
 
     @property
     def equal_magnitudes(self) -> bool:
@@ -137,6 +151,9 @@ def budget_thresholds(spec: SuperpositionSpec, d: int, eps: float) -> Tuple[floa
 
 
 _KAPPA_GRID = np.arange(1.0, 16.05, 0.1)
+# pow() per element, as `schedule_for` squares its scalar kappa; the array
+# `**2` multiplies instead and rounds the kappa = 2.5 cell one ulp apart.
+_KAPPA_SQ = np.float_power(_KAPPA_GRID, 2)
 _SHOT_GRID = sorted(
     n
     for k in range(2, 15)
@@ -145,27 +162,45 @@ _SHOT_GRID = sorted(
 )
 
 
-def _smallest_budget(d: int, cost: Callable[[TomographySchedule], float], target: float) -> Tuple[int, float]:
-    """Smallest grid shot count (with its radius widening) meeting the target."""
-    for n in _SHOT_GRID:
-        best_kappa, best_cost = None, np.inf
-        for kappa in _KAPPA_GRID:
-            c = cost(schedule_for(d, n, kappa))
-            if c < best_cost:
-                best_kappa, best_cost = kappa, c
-        if best_cost <= target:
-            return n, float(best_kappa)
-    raise BudgetExceededError(
-        f"target {target:.3e} unreachable within {TABLE_MAX_N:.0e} shots"
-    )
+def _budget_costs(d: int) -> np.ndarray:
+    """eps_vec + 2*delta_vec of every grid schedule, rows N and columns kappa.
+
+    Each cell repeats the expressions of `schedule_for(d, N, kappa)` in the
+    same order, so it equals that schedule's cost bit for bit.
+    """
+    c = np.array([lookup_constant(d, n) for n in _SHOT_GRID])[:, None]
+    eps_tr = _KAPPA_GRID * c * d / np.sqrt(np.array(_SHOT_GRID))[:, None]
+    delta = DELTA_TR * np.exp(-tail_exponent(d) * (_KAPPA_SQ - 1.0))
+    return eps_vec_from_eps_tr(d, eps_tr) + 2.0 * np.maximum(delta, 1e-300)
+
+
+def _smallest_budget(costs: np.ndarray, target: float, scale: float = 1.0) -> Tuple[int, float]:
+    """Smallest grid shot count, with its best widening, whose cost times
+    scale meets the target.  The first minimum wins a tie in kappa."""
+    met = np.flatnonzero(costs.min(axis=1) <= target / scale)
+    if met.size == 0:
+        raise BudgetExceededError(
+            f"target {target:.3e} unreachable within {TABLE_MAX_N:.0e} shots"
+        )
+    row = met[0]
+    return _SHOT_GRID[row], float(_KAPPA_GRID[np.argmin(costs[row])])
 
 
 def _budget_schedules(
     spec: SuperpositionSpec, d: int, eps: float
 ) -> Tuple[TomographySchedule, TomographySchedule]:
+    """Schedules for the two tomography stages at target error eps.
+
+    The N stage needs eps_vec + 2*delta_vec <= t_n and the M stage
+    2*eps_vec + 4*delta_vec <= t_m.  Scaling by 2 is exact in floating
+    point, so the M cost is exactly twice the N cost, and one pass over the
+    (N, kappa) grid serves both searches.  Only the two chosen schedules
+    are built, so both still pass every `TomographySchedule` check.
+    """
     t_n, t_m = budget_thresholds(spec, d, eps)
-    n, kn = _smallest_budget(d, lambda s: s.eps_vec + 2.0 * s.delta_vec, t_n)
-    m, km = _smallest_budget(d, lambda s: 2.0 * s.eps_vec + 4.0 * s.delta_vec, t_m)
+    costs = _budget_costs(d)
+    n, kn = _smallest_budget(costs, t_n)
+    m, km = _smallest_budget(costs, t_m, scale=2.0)
     return schedule_for(d, n, kn), schedule_for(d, m, km)
 
 
@@ -223,6 +258,51 @@ def _combine(
     return outer(StateVector(w / np.linalg.norm(w)))
 
 
+def _stage_schedules(
+    oracle_u: StateOracle,
+    oracle_v: StateOracle,
+    spec: SuperpositionSpec,
+    eps: float,
+    exact: bool,
+) -> Tuple[TomographySchedule, TomographySchedule]:
+    d = oracle_u.dim
+    if oracle_v.dim != d:
+        raise DimensionMismatchError(f"dims {d} and {oracle_v.dim} differ")
+    if exact:
+        sched = schedule_for(d, 10**6)
+        return sched, sched
+    return _budget_schedules(spec, d, eps)
+
+
+def _run_pipeline(
+    oracle_u: StateOracle,
+    oracle_v: StateOracle,
+    spec: SuperpositionSpec,
+    schedules: Tuple[TomographySchedule, TomographySchedule],
+    seed: int,
+    exact: bool,
+) -> RandomSuperpositionOutcome:
+    sched_n, sched_m = schedules
+    est_x = vector_tomography(
+        oracle_u, sched_n, seeding.child_seed(seed, seeding.RUN, 0), exact=exact
+    )
+    paired = est_x.x if spec.equal_magnitudes else None
+    est_y = vector_tomography(
+        oracle_v,
+        sched_m,
+        seeding.child_seed(seed, seeding.RUN, 1),
+        paired_with=paired,
+        exact=exact,
+    )
+    if spec.equal_magnitudes:
+        _check_vec_transfer(est_x.x, est_y.x, est_x.r)
+    r = (est_x.r, est_y.r)
+    state = _combine(est_x.x, est_y.x, r, spec, oracle_u.dim)
+    return RandomSuperpositionOutcome(
+        r=r, state=state, phi_r=_implied_phase(est_x.x, est_y.x, r, spec)
+    )
+
+
 def random_superposition(
     u: Union[PureDensity, StateOracle],
     v: Union[PureDensity, StateOracle],
@@ -240,32 +320,8 @@ def random_superposition(
     noise is turned off and the budgets are skipped.
     """
     oracle_u, oracle_v = _as_oracle(u), _as_oracle(v)
-    d = oracle_u.dim
-    if oracle_v.dim != d:
-        raise DimensionMismatchError(f"dims {d} and {oracle_v.dim} differ")
-    if exact:
-        sched = schedule_for(d, 10**6)
-        sched_n, sched_m = sched, sched
-    else:
-        sched_n, sched_m = _budget_schedules(spec, d, eps)
-    est_x = vector_tomography(
-        oracle_u, sched_n, seeding.child_seed(seed, seeding.RUN, 0), exact=exact
-    )
-    paired = est_x.x if spec.equal_magnitudes else None
-    est_y = vector_tomography(
-        oracle_v,
-        sched_m,
-        seeding.child_seed(seed, seeding.RUN, 1),
-        paired_with=paired,
-        exact=exact,
-    )
-    if spec.equal_magnitudes:
-        _check_vec_transfer(est_x.x, est_y.x, est_x.r)
-    r = (est_x.r, est_y.r)
-    state = _combine(est_x.x, est_y.x, r, spec, d)
-    return RandomSuperpositionOutcome(
-        r=r, state=state, phi_r=_implied_phase(est_x.x, est_y.x, r, spec)
-    )
+    schedules = _stage_schedules(oracle_u, oracle_v, spec, eps, exact)
+    return _run_pipeline(oracle_u, oracle_v, spec, schedules, seed, exact)
 
 
 def superposition_error(
@@ -292,8 +348,9 @@ def entangled_superposition(
     """Block mixture over index pairs with Monte-Carlo weights.
 
     Each trial runs the full pipeline on a fresh seed and contributes its
-    index pair; block states are the noiseless per-index outputs.  Exact
-    mode is deterministic, so it collapses to a single block.
+    index pair; the trials share one budget search.  Block states are the
+    noiseless per-index outputs.  Exact mode is deterministic, so it
+    collapses to a single block.
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
@@ -301,15 +358,16 @@ def entangled_superposition(
     truth_u, truth_v = _oracle_density(oracle_u), _oracle_density(oracle_v)
     if exact:
         trials = 1
+    schedules = _stage_schedules(oracle_u, oracle_v, spec, eps, exact)
     counts: Dict[IndexPair, int] = {}
     for t in range(trials):
-        out = random_superposition(
+        out = _run_pipeline(
             oracle_u,
             oracle_v,
             spec,
-            eps,
+            schedules,
             seeding.child_seed(seed, seeding.TRIAL, t),
-            exact=exact,
+            exact,
         )
         counts[out.r] = counts.get(out.r, 0) + 1
     blocks = {

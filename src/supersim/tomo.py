@@ -120,13 +120,12 @@ def _hermitian_basis(d: int) -> tuple:
 @lru_cache(maxsize=None)
 def _inversion_operator(d: int) -> np.ndarray:
     """Pseudoinverse mapping stacked frequencies to Hermitian coordinates."""
-    herm = _hermitian_basis(d)
-    rows = []
-    for basis in setting_bases(d):
-        for m in range(d):
-            b = basis[:, m]
-            rows.append([np.real(b.conj() @ h @ b) for h in herm])
-    return np.linalg.pinv(np.array(rows))
+    # Row s*d + m holds <b|h|b> for the m-th vector b of setting s, for every h.
+    vecs = np.concatenate([basis.T for basis in setting_bases(d)])
+    rows = np.stack(
+        [(vecs.conj() @ h * vecs).sum(axis=1).real for h in _hermitian_basis(d)], axis=1
+    )
+    return np.linalg.pinv(rows)
 
 
 class StateOracle:
@@ -193,7 +192,9 @@ def _reconstruct_from_frequencies(d: int, freqs: np.ndarray) -> PureDensity:
 
 
 def eps_vec_from_eps_tr(d: int, eps_tr: float) -> float:
-    return (np.sqrt(d) + 0.5) * eps_tr + 0.25 * eps_tr**2
+    # float_power squares with pow() per element, as `**` does on a scalar, so
+    # arrays of radii get the same bits as one radius at a time.
+    return (np.sqrt(d) + 0.5) * eps_tr + 0.25 * np.float_power(eps_tr, 2)
 
 
 def schedule_for(d: int, N: int, kappa: float = 1.0) -> TomographySchedule:

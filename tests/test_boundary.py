@@ -169,3 +169,24 @@ class TestCliRejections:
             capsys, ["tomo", "--state", str(path), "--shots", str(10**21)]
         )
         assert "outside" in error["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["probe", "--bogus"],
+            ["tomo"],
+            ["identities", "--samples", "many"],
+            ["identities", "--seed", "-1"],
+            ["audit", "--candidate", "ideal", "--alpha", "0,1.3407807929942597e+154"],
+            ["audit", "--candidate", "ideal", "--beta", "nan,0"],
+        ],
+    )
+    def test_usage_and_coefficient_errors(self, capsys, argv):
+        _expect_envelope(capsys, argv)
+
+    def test_exact_superpose_checks_eps(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text('{"dim": 2, "kind": "vector", "data": [[1.0, 0.0], [0.0, 0.0]]}')
+        _expect_envelope(
+            capsys, ["superpose", "--u", str(path), "--v", str(path), "--exact", "--eps", "nan"]
+        )

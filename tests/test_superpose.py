@@ -1,9 +1,12 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_density, haar_vector
+from supersim.calibration import TABLE_MAX_N
 from supersim.errors import (
     BudgetExceededError,
     DegenerateSuperpositionError,
@@ -20,6 +23,10 @@ from supersim.linalg import (
 from supersim.superpose import (
     EntangledSuperposition,
     SuperpositionSpec,
+    _KAPPA_GRID,
+    _SHOT_GRID,
+    _budget_costs,
+    _budget_schedules,
     budget_thresholds,
     copies_budget,
     entangled_superposition,
@@ -30,15 +37,16 @@ from supersim.superpose import (
     threshold,
     trace_floor,
 )
-from supersim.tomo import StateOracle
+from supersim.tomo import StateOracle, schedule_for
 
 EQUAL = SuperpositionSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
 
 
 class TestSpec:
     def test_rejects_zero_coefficients(self):
-        with pytest.raises(ValidationError):
-            SuperpositionSpec(0.0, 1.0)
+        for alpha in (0.0, np.nan, np.inf, 1j * 1e154, 1e-170):
+            with pytest.raises(ValidationError):
+                SuperpositionSpec(alpha, 1.0)
 
     def test_equal_magnitude_detection(self):
         assert EQUAL.equal_magnitudes
@@ -114,6 +122,68 @@ class TestBudgets:
         for bad in (0.0, -1.0, 2.0):
             with pytest.raises(ValidationError):
                 budget_thresholds(EQUAL, 2, bad)
+
+
+# The scalar budget search the grid pass replaced, kept as the reference.
+# `schedule_for` is pure, so memoizing it changes nothing but the run time.
+_reference_schedule = lru_cache(maxsize=None)(schedule_for)
+
+
+def _reference_smallest_budget(d, cost, target):
+    for n in _SHOT_GRID:
+        best_kappa, best_cost = None, np.inf
+        for kappa in _KAPPA_GRID:
+            c = cost(_reference_schedule(d, n, kappa))
+            if c < best_cost:
+                best_kappa, best_cost = kappa, c
+        if best_cost <= target:
+            return n, float(best_kappa)
+    raise BudgetExceededError(
+        f"target {target:.3e} unreachable within {TABLE_MAX_N:.0e} shots"
+    )
+
+
+def _reference_budget_schedules(spec, d, eps):
+    t_n, t_m = budget_thresholds(spec, d, eps)
+    n, kn = _reference_smallest_budget(d, lambda s: s.eps_vec + 2.0 * s.delta_vec, t_n)
+    m, km = _reference_smallest_budget(d, lambda s: 2.0 * s.eps_vec + 4.0 * s.delta_vec, t_m)
+    return schedule_for(d, n, kn), schedule_for(d, m, km)
+
+
+def _outcome(search, spec, d, eps):
+    try:
+        return search(spec, d, eps)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+class TestBudgetGrid:
+    """The one-pass grid search agrees with the scalar per-cell search."""
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_costs_match_scalar_schedules(self, d):
+        costs = _budget_costs(d)
+        for i, n in enumerate(_SHOT_GRID):
+            for j, kappa in enumerate(_KAPPA_GRID):
+                s = _reference_schedule(d, n, kappa)
+                assert costs[i, j] == s.eps_vec + 2.0 * s.delta_vec
+                assert 2.0 * costs[i, j] == 2.0 * s.eps_vec + 4.0 * s.delta_vec
+
+    def test_same_schedules_or_same_refusal(self):
+        rng = np.random.default_rng(20261017)
+        specs = [
+            SuperpositionSpec(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
+            for _ in range(3)
+        ] + [EQUAL, SuperpositionSpec(1.0, 0.97j)]
+        chosen = refused = 0
+        for d in range(2, 17):
+            for eps in (0.01, 0.1, 0.25, 1.0, 1.99):
+                for spec in specs:
+                    got = _outcome(_budget_schedules, spec, d, eps)
+                    assert got == _outcome(_reference_budget_schedules, spec, d, eps)
+                    refused += isinstance(got, str)
+                    chosen += not isinstance(got, str)
+        assert chosen > 0 and refused > 0
 
 
 class TestRandomSuperposition:

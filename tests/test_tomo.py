@@ -9,6 +9,8 @@ from supersim.tomo import (
     MeasurementRecord,
     StateOracle,
     TomographySchedule,
+    _hermitian_basis,
+    _inversion_operator,
     born_probabilities,
     calibrate_schedule,
     empirical_success_rate,
@@ -117,6 +119,22 @@ class TestReconstruct:
             est = reconstruct(sample_measurements(rho, calibrate_schedule(2, n), seed=3))
             errs.append(trace_distance(est, rho))
         assert errs[2] < errs[0]
+
+
+def _reference_rows(d):
+    # The scalar row build the stacked one replaced, kept as the reference.
+    herm = _hermitian_basis(d)
+    rows = []
+    for basis in setting_bases(d):
+        for m in range(d):
+            b = basis[:, m]
+            rows.append([np.real(b.conj() @ h @ b) for h in herm])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_inversion_operator_matches_scalar_build(d):
+    assert np.array_equal(_inversion_operator(d), np.linalg.pinv(_reference_rows(d)))
 
 
 class TestGuarantee:
