@@ -2,11 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_density, haar_vector
-from supersim.config import max_dim
+from supersim.config import TOL, max_dim
 from supersim.errors import (
     DimensionMismatchError,
     NormalizationError,
@@ -170,11 +170,15 @@ class TestPartialTrace:
 
 class TestCanonicalPhase:
     @given(complex_arrays(4))
+    # An entry at the threshold must not be taken for the pivot: multiplying
+    # it by a unit phase can round its magnitude just above the threshold.
+    @example(np.array([0, 1e-12j, 1e-10 - 1e-10j, 1j]))
     def test_first_entry_real_nonnegative(self, v):
         if np.max(np.abs(v)) < 1e-6:
             return
         out = canonical_phase(v)
-        lead = out[np.abs(out) > 1e-12][0]
+        # The pivot is chosen on the input, with the function's own threshold.
+        lead = out[np.abs(v) > TOL.nonzero][0]
         assert abs(lead.imag) < 1e-12 and lead.real > 0
 
 
