@@ -1,7 +1,7 @@
 """Postselection circuits and small bra-ket identities.
 
 A circuit is a dense unitary on N+M state copies plus an ancilla, followed
-by one or more projectors; applying it to a pair of pure inputs yields the
+by a success projector; applying it to a pair of pure inputs yields the
 unnormalized conditional output on the kept registers.  The module also
 carries the qubit identities used throughout (Bell-contraction teleport
 factor, conjugated bra, orthogonal complement) and the `g_functional`
@@ -11,14 +11,12 @@ direction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .config import max_dim
+from .config import MAX_DIM
 from .errors import (
     DimensionMismatchError,
     InvalidMapError,
@@ -31,8 +29,6 @@ from .linalg import (
     PureDensity,
     StateVector,
     _derived,
-    decode_complex,
-    encode_complex,
     kron_all,
     outer,
     partial_trace,
@@ -94,48 +90,13 @@ class PostselectionCircuit:
         return int(np.prod(self.factor_dims))
 
 
-@dataclass(frozen=True)
-class MultiOutcomeCircuit:
-    """Unitary + complete projector family (last entry is the fail branch)."""
-
-    V: np.ndarray
-    projectors: Tuple[np.ndarray, ...]
-    d: int
-    copies: Tuple[int, int]
-    d_anc: int = 1
-    keep: Tuple[int, ...] = (0,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "V", np.asarray(self.V, dtype=np.complex128))
-        projs = tuple(np.asarray(p, dtype=np.complex128) for p in self.projectors)
-        object.__setattr__(self, "projectors", projs)
-        if not projs:
-            raise ValidationError("need at least one projector")
-        _check_unitary(self.V)
-        for p in projs:
-            _check_projector(p)
-        total = sum(projs)
-        if np.max(np.abs(total - np.eye(total.shape[0]))) > 1e-10:
-            raise ValidationError("projectors do not sum to identity")
-
-    def branch(self, r: int) -> PostselectionCircuit:
-        return PostselectionCircuit(
-            V=self.V,
-            pi_succ=self.projectors[r],
-            d=self.d,
-            copies=self.copies,
-            d_anc=self.d_anc,
-            keep=self.keep,
-        )
-
-
 def _circuit_input(c: PostselectionCircuit, u: PureDensity, v: PureDensity) -> np.ndarray:
     if u.dim != c.d or v.dim != c.d:
         raise DimensionMismatchError(
             f"input dims ({u.dim}, {v.dim}) do not match circuit dim {c.d}"
         )
-    if c.total_dim > max_dim():
-        raise TensorCapError(f"total dimension {c.total_dim} exceeds cap {max_dim()}")
+    if c.total_dim > MAX_DIM:
+        raise TensorCapError(f"total dimension {c.total_dim} exceeds cap {MAX_DIM}")
     n, m = c.copies
     factors = [u.matrix] * n + [v.matrix] * m
     if c.d_anc > 1:
@@ -153,16 +114,6 @@ def apply_postselection(
     conditioned = c.pi_succ @ c.V @ rho @ c.V.conj().T @ c.pi_succ
     full = _derived(DensityOperator, (conditioned + conditioned.conj().T) / 2)
     return partial_trace(full, c.keep, c.factor_dims)
-
-
-def apply_multioutcome(
-    c: MultiOutcomeCircuit, u: PureDensity, v: PureDensity
-) -> Dict[int, DensityOperator]:
-    """One unnormalized conditional output per non-fail projector."""
-    return {
-        r: apply_postselection(c.branch(r), u, v)
-        for r in range(len(c.projectors) - 1)
-    }
 
 
 def teleport_identity_check(x: StateVector) -> StateVector:
@@ -200,24 +151,10 @@ def complement_ket(x: StateVector) -> StateVector:
     return StateVector(orthogonal_complement(x).amplitudes.conj())
 
 
-def pad_qubit(x: StateVector, d: int) -> StateVector:
-    """Embed a qubit state into C^d on coordinates 0 and 1."""
-    if x.dim != 2:
-        raise DimensionMismatchError(f"qubit expected, got dim {x.dim}")
-    if d < 2:
-        raise ValidationError(f"cannot pad into dim {d}")
-    out = np.zeros(d, dtype=np.complex128)
-    out[:2] = x.amplitudes
-    return StateVector(out, normalized=x.normalized)
-
-
 def _candidate_output(A: AMap, x: StateVector) -> Tuple[DensityOperator, StateVector, StateVector]:
     """Evaluate a candidate on (x, complement) and hand back the frame."""
     perp = complement_ket(x)
-    if getattr(A, "needs_kets", False):
-        out = A(x, perp)
-    else:
-        out = A(outer(x), outer(perp))
+    out = A(outer(x), outer(perp))
     if not isinstance(out, DensityOperator):
         raise InvalidMapError("candidate must return a density operator")
     if out.dim != x.dim:
@@ -247,30 +184,3 @@ def g_normalized(A: AMap, x: StateVector) -> complex:
         raise ZeroFunctionalError("g vanishes; cannot normalize")
     return g / abs(g)
 
-
-# --- circuit (de)serialization ------------------------------------------
-
-def save_circuit(path: Union[str, Path], c: MultiOutcomeCircuit) -> None:
-    payload = {
-        "dims": {"d": c.d, "copies": list(c.copies), "anc": c.d_anc},
-        "V": encode_complex(c.V),
-        "projectors": [encode_complex(p) for p in c.projectors],
-        "keep": list(c.keep),
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
-
-
-def load_circuit(path: Union[str, Path]) -> MultiOutcomeCircuit:
-    try:
-        payload = json.loads(Path(path).read_text())
-        dims = payload["dims"]
-        return MultiOutcomeCircuit(
-            V=decode_complex(payload["V"]),
-            projectors=tuple(decode_complex(p) for p in payload["projectors"]),
-            d=int(dims["d"]),
-            copies=tuple(int(x) for x in dims["copies"]),
-            d_anc=int(dims.get("anc", 1)),
-            keep=tuple(int(k) for k in payload["keep"]),
-        )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"malformed circuit file: {exc}") from None

@@ -4,7 +4,6 @@
 state their own bounds where they are made.
 """
 
-import os
 from dataclasses import dataclass
 
 
@@ -16,13 +15,4 @@ class Tolerances:
 TOL = Tolerances()
 
 # Tensor products refuse combined dimensions beyond this (2**20 matrix entries).
-DEFAULT_MAX_DIM = 1024
-
-
-def max_dim() -> int:
-    """Largest allowed Hilbert-space dimension for tensor products.
-
-    Overridable through the SUPERSIM_MAX_DIM environment variable.
-    """
-    value = os.environ.get("SUPERSIM_MAX_DIM")
-    return int(value) if value else DEFAULT_MAX_DIM
+MAX_DIM = 1024

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .config import TOL, max_dim
+from .config import MAX_DIM, TOL
 from .errors import (
     DimensionMismatchError,
     NormalizationError,
@@ -155,8 +155,8 @@ def euclidean_distance(u: StateVector, v: StateVector) -> float:
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Kronecker product; leftmost factor is the most significant index."""
     combined = a.dim * b.dim
-    if combined > max_dim():
-        raise TensorCapError(f"combined dim {combined} exceeds cap {max_dim()}")
+    if combined > MAX_DIM:
+        raise TensorCapError(f"combined dim {combined} exceeds cap {MAX_DIM}")
     return _derived(DensityOperator, np.kron(a.matrix, b.matrix))
 
 
@@ -218,11 +218,6 @@ def dominant_pure(matrix: np.ndarray) -> PureDensity:
     winner = max(candidates, key=key)
     winner = winner / np.linalg.norm(winner)
     return _derived(PureDensity, np.outer(winner, winner.conj()))
-
-
-def project_to_pure(h: DensityOperator) -> PureDensity:
-    """Nearest pure state to a Hermitian operator."""
-    return dominant_pure(h.matrix)
 
 
 StateLike = Union[StateVector, DensityOperator]

@@ -13,11 +13,10 @@ is `obstructed`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from . import seeding
 from .errors import RefinementNeededError, ValidationError, ZeroFunctionalError
 from .circuits import AMap, _candidate_output, g_normalized
 from .linalg import DensityOperator, PureDensity, StateVector, _derived, trace_distance
@@ -61,14 +60,13 @@ class AuditReport:
     winding_phase_loop: Optional[int]
     max_error: float
     threshold: float
-    verdict: str
     g_vanished: bool = False
 
-    def __post_init__(self):
+    @property
+    def verdict(self) -> str:
+        """Obstructed on a winding mismatch, a vanished g or an error at the threshold."""
         mismatch = self.g_vanished or self.winding_constant != self.winding_phase_loop
-        expected = "obstructed" if mismatch or self.max_error >= self.threshold else "consistent"
-        if self.verdict != expected:
-            raise ValidationError(f"verdict {self.verdict} inconsistent with fields")
+        return "obstructed" if mismatch or self.max_error >= self.threshold else "consistent"
 
 
 def winding_number(loop: LoopSample) -> int:
@@ -104,20 +102,6 @@ def discontinuity_loop(n: int) -> LoopSample:
         t = j / n
         points.append(StateVector(np.array([-np.sin(np.pi * t), np.cos(np.pi * t)])))
     return LoopSample(points=tuple(points), closed=False)
-
-
-def homogeneity_defect(
-    g: Callable[[StateVector], complex], m: int, samples: int, seed: int
-) -> float:
-    """Worst deviation of g from m-homogeneity under random rephasings."""
-    worst = 0.0
-    for i in range(samples):
-        rng = seeding.rng_for(seed, seeding.STATE, i)
-        x = StateVector(seeding.haar_state(rng, 2))
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        rotated = StateVector(np.exp(1j * theta) * x.amplitudes)
-        worst = max(worst, abs(g(rotated) - np.exp(1j * m * theta) * g(x)))
-    return float(worst)
 
 
 def _winding_along(A: AMap, x0: StateVector, k: int, n: int) -> int:
@@ -158,15 +142,11 @@ def obstruction_audit(
     for loop in (phase_loop(x0, 1, n), discontinuity_loop(n)):
         for point in loop.points:
             max_error = max(max_error, _best_phase_error(A, point, spec))
-    thr = threshold(spec)
-    mismatch = g_vanished or w_phase != w_const
-    verdict = "obstructed" if mismatch or max_error >= thr else "consistent"
     return AuditReport(
         winding_constant=w_const,
         winding_phase_loop=w_phase,
         max_error=float(max_error),
-        threshold=thr,
-        verdict=verdict,
+        threshold=threshold(spec),
         g_vanished=g_vanished,
     )
 
@@ -215,21 +195,6 @@ def constant_candidate(spec: SuperpositionSpec) -> AMap:
     def A(rho_u: PureDensity, rho_v: PureDensity) -> DensityOperator:
         return plus
 
-    return A
-
-
-def ket_ideal(spec: SuperpositionSpec, phi: float = 0.0) -> AMap:
-    """Superposer with direct ket access (not reachable from densities).
-
-    Receives the state vectors themselves, so its g is constant:
-    conj(alpha) * beta * e^{-i phi} / (|alpha|^2 + |beta|^2) at every x.
-    """
-
-    def A(u: StateVector, v: StateVector) -> DensityOperator:
-        w = spec.alpha * np.exp(1j * phi) * u.amplitudes + spec.beta * v.amplitudes
-        return DensityOperator(np.outer(w, w.conj()))
-
-    A.needs_kets = True
     return A
 
 

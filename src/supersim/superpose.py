@@ -264,13 +264,12 @@ def _stage_schedules(
     spec: SuperpositionSpec,
     eps: float,
     exact: bool,
-) -> Tuple[TomographySchedule, TomographySchedule]:
+) -> Tuple[Optional[TomographySchedule], Optional[TomographySchedule]]:
     d = oracle_u.dim
     if oracle_v.dim != d:
         raise DimensionMismatchError(f"dims {d} and {oracle_v.dim} differ")
     if exact:
-        sched = schedule_for(d, 10**6)
-        return sched, sched
+        return None, None
     return _budget_schedules(spec, d, eps)
 
 
@@ -278,7 +277,7 @@ def _run_pipeline(
     oracle_u: StateOracle,
     oracle_v: StateOracle,
     spec: SuperpositionSpec,
-    schedules: Tuple[TomographySchedule, TomographySchedule],
+    schedules: Tuple[Optional[TomographySchedule], Optional[TomographySchedule]],
     seed: int,
     exact: bool,
 ) -> RandomSuperpositionOutcome:

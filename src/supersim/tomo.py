@@ -158,13 +158,6 @@ def _as_oracle(rho: Union[PureDensity, StateOracle]) -> StateOracle:
     return rho if isinstance(rho, StateOracle) else StateOracle(rho)
 
 
-def sample_measurements(
-    rho: Union[PureDensity, StateOracle], schedule: TomographySchedule, seed: int
-) -> List[MeasurementRecord]:
-    """Draw shot histograms for every setting in the family."""
-    return _as_oracle(rho).sample(schedule, seed)
-
-
 def reconstruct(records: Sequence[MeasurementRecord]) -> PureDensity:
     """Least-squares inversion of empirical frequencies, then purification."""
     if not records:
@@ -222,7 +215,7 @@ def calibrate_schedule(d: int, N: int) -> TomographySchedule:
 
 def vector_tomography(
     rho: Union[PureDensity, StateOracle],
-    schedule: TomographySchedule,
+    schedule: Optional[TomographySchedule],
     seed: int,
     paired_with: Optional[PureDensity] = None,
     exact: bool = False,
@@ -231,7 +224,8 @@ def vector_tomography(
 
     With `paired_with` (an earlier estimate), the index is reused from that
     estimate whenever the two are close; this keeps two estimates of nearly
-    equal states phase-consistent.
+    equal states phase-consistent.  In exact mode the noiseless frequencies
+    are inverted and `schedule` is not used; it may be None.
     """
     oracle = _as_oracle(rho)
     if exact:
@@ -245,27 +239,6 @@ def vector_tomography(
     return VectorEstimate(x=x, r=r, v=vec_i(x, r))
 
 
-def empirical_success_rate(
-    rho: Union[PureDensity, StateOracle],
-    schedule: TomographySchedule,
-    trials: int,
-    seed: int,
-    exact: bool = False,
-) -> float:
-    """Fraction of independent runs whose vector lands within eps_vec."""
-    oracle = _as_oracle(rho)
-    hits = 0
-    for t in range(trials):
-        est = vector_tomography(
-            oracle, schedule, seeding.child_seed(seed, seeding.TRIAL, t), exact=exact
-        )
-        truth = vec_i(_oracle_density(oracle), est.r)
-        err = np.linalg.norm(est.v.amplitudes - truth.amplitudes)
-        if err <= schedule.eps_vec:
-            hits += 1
-    return hits / trials
-
-
 def _oracle_density(oracle: StateOracle) -> PureDensity:
-    # Test-harness access: success rates are measured against the truth.
+    # Truth access for entangled_superposition's noiseless block states.
     return oracle._StateOracle__rho

@@ -43,7 +43,6 @@ from supersim.superpose import (
 from supersim.tomo import (
     StateOracle,
     calibrate_schedule,
-    sample_measurements,
     reconstruct,
     vector_tomography,
 )
@@ -302,8 +301,8 @@ def test_criterion_12_calibration_between_dims():
         for i in range(200):
             rng = seeding.rng_for(2027, seeding.STATE, d, i)
             truth = outer(StateVector(seeding.haar_state(rng, d)))
-            records = sample_measurements(
-                truth, schedule, seeding.child_seed(2027, seeding.TRIAL, d, i)
+            records = StateOracle(truth).sample(
+                schedule, seeding.child_seed(2027, seeding.TRIAL, d, i)
             )
             misses += trace_distance(reconstruct(records), truth) > schedule.eps_tr
         rates[d] = misses / 200

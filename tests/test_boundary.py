@@ -10,7 +10,6 @@ import pytest
 import supersim
 from conftest import haar_density, haar_vector
 from supersim import calibration
-from supersim.circuits import load_circuit
 from supersim.cli import main
 from supersim.errors import ValidationError
 from supersim.linalg import (
@@ -101,20 +100,6 @@ class TestComplexCodec:
         with pytest.raises(ValidationError):
             load_state(path)
 
-    def test_circuit_file_rejects_strings(self, tmp_path):
-        path = tmp_path / "circuit.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "dims": {"d": 2, "copies": [1, 0], "anc": 1},
-                    "V": [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
-                    "projectors": [],
-                    "keep": [0],
-                }
-            )
-        )
-        with pytest.raises(ValidationError):
-            load_circuit(path)
 
 
 class TestCalibrationRounding:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_density, haar_vector
-from supersim.config import TOL, max_dim
+from supersim.config import TOL
 from supersim.errors import (
     DimensionMismatchError,
     NormalizationError,
@@ -24,7 +24,6 @@ from supersim.linalg import (
     load_state,
     outer,
     partial_trace,
-    project_to_pure,
     save_state,
     tensor,
     trace_distance,
@@ -124,11 +123,9 @@ class TestTensor:
         assert t.dim == 6
         assert t.trace == pytest.approx(1.0)
 
-    def test_cap_enforced(self, rng, monkeypatch):
-        monkeypatch.setenv("SUPERSIM_MAX_DIM", "8")
-        a = haar_density(rng, 4)
+    def test_cap_enforced(self, rng):
         with pytest.raises(TensorCapError):
-            tensor(tensor(a, a), a)
+            tensor(haar_density(rng, 32), haar_density(rng, 64))
 
     def test_power_lipschitz(self, rng):
         # D(rho^n, sigma^n) <= n * D(rho, sigma)
@@ -193,10 +190,6 @@ class TestDominantPure:
         noisy = 0.9 * outer(v).matrix + 0.1 * np.eye(3) / 3
         est = dominant_pure(noisy)
         assert trace_distance(est, outer(v)) < 1e-9
-
-    def test_project_wrapper(self, rng):
-        rho = haar_density(rng, 3)
-        assert trace_distance(project_to_pure(rho), rho) < 1e-9
 
 
 class TestStateIO:

@@ -13,10 +13,8 @@ from supersim.tomo import (
     _inversion_operator,
     born_probabilities,
     calibrate_schedule,
-    empirical_success_rate,
     eps_vec_from_eps_tr,
     reconstruct,
-    sample_measurements,
     schedule_for,
     setting_bases,
     setting_count,
@@ -69,22 +67,22 @@ class TestSampling:
     def test_deterministic(self, rng):
         rho = haar_density(rng, 2)
         schedule = calibrate_schedule(2, 1000)
-        a = sample_measurements(rho, schedule, seed=42)
-        b = sample_measurements(rho, schedule, seed=42)
+        a = StateOracle(rho).sample(schedule, seed=42)
+        b = StateOracle(rho).sample(schedule, seed=42)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.counts, rb.counts)
 
     def test_seed_changes_counts(self, rng):
         rho = haar_density(rng, 2)
         schedule = calibrate_schedule(2, 1000)
-        a = sample_measurements(rho, schedule, seed=1)
-        b = sample_measurements(rho, schedule, seed=2)
+        a = StateOracle(rho).sample(schedule, seed=1)
+        b = StateOracle(rho).sample(schedule, seed=2)
         assert any(not np.array_equal(ra.counts, rb.counts) for ra, rb in zip(a, b))
 
     def test_counts_sum_to_shots(self, rng):
         rho = haar_density(rng, 3)
         schedule = calibrate_schedule(3, 5000)
-        for rec in sample_measurements(rho, schedule, seed=7):
+        for rec in StateOracle(rho).sample(schedule, seed=7):
             assert rec.counts.sum() == 5000
 
 
@@ -97,7 +95,7 @@ class TestReconstruct:
 
     def test_missing_setting_rejected(self, rng):
         rho = haar_density(rng, 2)
-        records = sample_measurements(rho, calibrate_schedule(2, 1000), seed=0)
+        records = StateOracle(rho).sample(calibrate_schedule(2, 1000), seed=0)
         with pytest.raises(IncompleteRecordsError):
             reconstruct(records[:-1])
 
@@ -107,7 +105,7 @@ class TestReconstruct:
 
     def test_record_order_irrelevant(self, rng):
         rho = haar_density(rng, 2)
-        records = sample_measurements(rho, calibrate_schedule(2, 1000), seed=0)
+        records = StateOracle(rho).sample(calibrate_schedule(2, 1000), seed=0)
         a = reconstruct(records)
         b = reconstruct(list(reversed(records)))
         assert np.allclose(a.matrix, b.matrix)
@@ -116,7 +114,7 @@ class TestReconstruct:
         rho = haar_density(rng, 2)
         errs = []
         for n in (100, 10**4, 10**6):
-            est = reconstruct(sample_measurements(rho, calibrate_schedule(2, n), seed=3))
+            est = reconstruct(StateOracle(rho).sample(calibrate_schedule(2, n), seed=3))
             errs.append(trace_distance(est, rho))
         assert errs[2] < errs[0]
 
@@ -143,7 +141,9 @@ class TestGuarantee:
         hits = 0
         for i in range(50):
             rho = haar_density(rng, 2)
-            hits += empirical_success_rate(rho, schedule, trials=1, seed=i)
+            est = vector_tomography(rho, schedule, seeding.child_seed(i, seeding.TRIAL, 0))
+            err = np.linalg.norm(est.v.amplitudes - vec_i(rho, est.r).amplitudes)
+            hits += err <= schedule.eps_vec
         assert hits / 50 >= 0.9
 
     def test_paired_estimate_keeps_index(self, rng):
