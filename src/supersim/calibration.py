@@ -75,7 +75,7 @@ def build_table(
     """Regenerate the radius table from fresh benchmark runs."""
     from . import seeding
     from .linalg import StateVector, outer, trace_distance
-    from .tomo import MIN_SHOTS, reconstruct, setting_count, StateOracle, TomographySchedule
+    from .tomo import MIN_SHOTS, reconstruct, setting_count, StateOracle
 
     assert min(CAL_GRID) >= MIN_SHOTS
     table: dict = {
@@ -91,14 +91,11 @@ def build_table(
         cells = []
         for cell_idx, n_shots in enumerate(CAL_GRID):
             errors = np.empty(states)
-            schedule = TomographySchedule(
-                N=n_shots, eps_tr=1.0, delta_tr=0.05, eps_vec=1.0, delta_vec=0.05
-            )
             for i in range(states):
                 rng = seeding.rng_for(seed, seeding.STATE, d, cell_idx, i)
                 rho = outer(StateVector(seeding.haar_state(rng, d)))
                 trial_seed = seeding.child_seed(seed, seeding.TRIAL, d, cell_idx, i)
-                est = reconstruct(StateOracle(rho).sample(schedule, trial_seed))
+                est = reconstruct(StateOracle(rho).sample(n_shots, trial_seed))
                 errors[i] = trace_distance(est, rho)
             c = _bisect_constant(errors, d, n_shots) * INFLATION
             cells.append([n_shots, c])

@@ -6,7 +6,8 @@ unnormalized conditional output on the kept registers.  The module also
 carries the qubit identities used throughout (Bell-contraction teleport
 factor, conjugated bra, orthogonal complement) and the `g_functional`
 diagnostic that probes a candidate superposition map along the complement
-direction.
+direction.  The identities are raw contractions, not states: they take and
+return plain complex arrays of size 2.
 """
 
 from __future__ import annotations
@@ -116,39 +117,38 @@ def apply_postselection(
     return partial_trace(full, c.keep, c.factor_dims)
 
 
-def teleport_identity_check(x: StateVector) -> StateVector:
+def _qubit(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape != (2,):
+        raise DimensionMismatchError(f"qubit amplitudes expected, got shape {x.shape}")
+    return x
+
+
+def teleport_identity_check(x: np.ndarray) -> np.ndarray:
     """Literal Bell contraction (<bell| (x) I)(|x> (x) |bell>); equals x/2."""
-    if x.dim != 2:
-        raise DimensionMismatchError(f"qubit expected, got dim {x.dim}")
-    full = np.kron(x.amplitudes, BELL)  # indices (i, j, k)
-    out = np.einsum("ij,ijk->k", BELL.conj().reshape(2, 2), full.reshape(2, 2, 2))
-    return StateVector(out, normalized=False)
+    full = np.kron(_qubit(x), BELL)  # indices (i, j, k)
+    return np.einsum("ij,ijk->k", BELL.conj().reshape(2, 2), full.reshape(2, 2, 2))
 
 
-def conjugate_bra(x: StateVector) -> StateVector:
+def conjugate_bra(x: np.ndarray) -> np.ndarray:
     """Components of <bell| (|x> (x) I): the bra <x*| scaled by 1/sqrt(2)."""
-    if x.dim != 2:
-        raise DimensionMismatchError(f"qubit expected, got dim {x.dim}")
-    out = np.einsum("ij,i->j", BELL.conj().reshape(2, 2), x.amplitudes)
-    return StateVector(out, normalized=False)
+    return np.einsum("ij,i->j", BELL.conj().reshape(2, 2), _qubit(x))
 
 
-def orthogonal_complement(x: StateVector) -> StateVector:
+def orthogonal_complement(x: np.ndarray) -> np.ndarray:
     """Bra components of (<00|+<11|)(|x> (x) sigma_y): (ib, -ia) for x=(a,b).
 
     The unconjugated dot product with x is exactly zero, and the map is
     linear in x.  The corresponding ket is the entrywise conjugate.
     """
-    if x.dim != 2:
-        raise DimensionMismatchError(f"qubit expected, got dim {x.dim}")
-    a, b = x.amplitudes
+    a, b = _qubit(x)
     # Written out scalar-by-scalar so the dot with x cancels exactly.
-    return StateVector(np.array([1j * b, -1j * a]), normalized=False)
+    return np.array([1j * b, -1j * a])
 
 
 def complement_ket(x: StateVector) -> StateVector:
     """Ket orthogonal to x (in the Hermitian inner product), unit norm."""
-    return StateVector(orthogonal_complement(x).amplitudes.conj())
+    return StateVector(orthogonal_complement(x.amplitudes).conj())
 
 
 def _candidate_output(A: AMap, x: StateVector) -> Tuple[DensityOperator, StateVector, StateVector]:
@@ -173,7 +173,7 @@ def g_functional(A: AMap, x: StateVector) -> complex:
     matrices the value picks up a factor e^{2i theta} when x does e^{i theta}.
     """
     out, x, _ = _candidate_output(A, x)
-    bra = orthogonal_complement(x).amplitudes
+    bra = orthogonal_complement(x.amplitudes)
     return complex(bra @ (out.matrix / out.trace) @ x.amplitudes)
 
 

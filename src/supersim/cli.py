@@ -33,7 +33,12 @@ from .linalg import (
     load_state,
     outer,
 )
-from .obstruction import BUILTIN_CANDIDATES, obstruction_audit
+from .obstruction import (
+    BUILTIN_CANDIDATES,
+    _best_phase_error,
+    discontinuity_loop,
+    obstruction_audit,
+)
 from .superpose import (
     SuperpositionSpec,
     budget_thresholds,
@@ -45,7 +50,7 @@ from .superpose import (
     trace_floor,
 )
 from .tomo import StateOracle, calibrate_schedule, vector_tomography
-from .vecfun import discontinuity_probe
+from .vecfun import canonical_vec, discontinuity_probe
 
 
 def _parse_complex(text: str) -> complex:
@@ -96,24 +101,26 @@ def _write_csv(path: str, header: List[str], rows: List[tuple]) -> None:
 
 def _cmd_tomo(args) -> dict:
     rho = _load_density(args.state)
-    schedule = calibrate_schedule(rho.dim, args.shots)
-    est = vector_tomography(StateOracle(rho), schedule, args.seed, exact=args.exact)
+    schedule = calibrate_schedule(rho.dim, args.shots)  # checks --shots in exact mode too
+    est = vector_tomography(StateOracle(rho), None if args.exact else schedule, args.seed)
+    results = {
+        "estimate": encode_complex(est.x.matrix),
+        "r": est.r,
+        "vector": encode_complex(est.v.amplitudes),
+    }
+    if not args.exact:
+        results["schedule"] = {
+            "N": schedule.N,
+            "eps_tr": schedule.eps_tr,
+            "delta_tr": schedule.delta_tr,
+            "eps_vec": schedule.eps_vec,
+            "delta_vec": schedule.delta_vec,
+        }
     return {
         "subcommand": "tomo",
         "seed": args.seed,
         "inputs": {"state": args.state, "shots": args.shots, "exact": args.exact},
-        "results": {
-            "schedule": {
-                "N": schedule.N,
-                "eps_tr": schedule.eps_tr,
-                "delta_tr": schedule.delta_tr,
-                "eps_vec": schedule.eps_vec,
-                "delta_vec": schedule.delta_vec,
-            },
-            "estimate": encode_complex(est.x.matrix),
-            "r": est.r,
-            "vector": encode_complex(est.v.amplitudes),
-        },
+        "results": results,
     }
 
 
@@ -169,21 +176,15 @@ def _cmd_audit(args) -> dict:
     spec = SuperpositionSpec(_parse_complex(args.alpha), _parse_complex(args.beta))
     candidate = BUILTIN_CANDIDATES[args.candidate](spec)
     if args.x0:
-        x0_density = _load_density(args.x0)
-        from .vecfun import canonical_vec
-
-        x0 = canonical_vec(x0_density)
+        x0 = canonical_vec(_load_density(args.x0))
     else:
         x0 = StateVector(np.array([1.0, 0.0]))
     report = obstruction_audit(candidate, spec, x0, args.samples)
     if args.csv:
-        from .obstruction import discontinuity_loop
-        from .obstruction import _best_phase_error
-
-        rows = []
-        loop = discontinuity_loop(args.samples)
-        for j, point in enumerate(loop.points):
-            rows.append((j / args.samples, _best_phase_error(candidate, point, spec)))
+        rows = [
+            (j / args.samples, _best_phase_error(candidate, point, spec))
+            for j, point in enumerate(discontinuity_loop(args.samples))
+        ]
         _write_csv(args.csv, ["t", "error"], rows)
     return {
         "subcommand": "audit",
@@ -227,12 +228,12 @@ def _cmd_identities(args) -> dict:
     worst = {"teleport": 0.0, "conjugate_bra": 0.0, "orthogonality": 0.0}
     for i in range(args.samples):
         rng = seeding.rng_for(args.seed, seeding.STATE, i)
-        x = StateVector(seeding.haar_state(rng, 2))
-        tele = teleport_identity_check(x).amplitudes - 0.5 * x.amplitudes
+        x = seeding.haar_state(rng, 2)
+        tele = teleport_identity_check(x) - 0.5 * x
         worst["teleport"] = max(worst["teleport"], float(np.max(np.abs(tele))))
-        bra = conjugate_bra(x).amplitudes - x.amplitudes / np.sqrt(2.0)
+        bra = conjugate_bra(x) - x / np.sqrt(2.0)
         worst["conjugate_bra"] = max(worst["conjugate_bra"], float(np.max(np.abs(bra))))
-        dot = orthogonal_complement(x).amplitudes @ x.amplitudes
+        dot = orthogonal_complement(x) @ x
         worst["orthogonality"] = max(worst["orthogonality"], float(abs(dot)))
     checks = [
         {"name": name, "passed": bool(err <= 1e-12)} for name, err in sorted(worst.items())

@@ -25,10 +25,6 @@ class TensorCapError(ValidationError):
     """Tensor product would exceed the configured size cap."""
 
 
-class IncompleteRecordsError(ValidationError):
-    """Measurement records do not cover the full setting family."""
-
-
 class DegenerateSuperpositionError(SupersimError):
     """Requested superposition cancels to the zero vector."""
 

@@ -9,7 +9,9 @@ Conventions fixed here and relied on everywhere else:
 * all values are immutable after construction and all operations are pure;
 * invariants are checked once, at the trust boundary: the public
   constructors and `load_state` validate, while values the package derives
-  from validated values are built by `_derived` and not re-checked.
+  from validated values are built by `_derived` and not re-checked;
+* a `StateVector` is always a unit vector; raw contractions that are not
+  states stay plain complex arrays.
 """
 
 from __future__ import annotations
@@ -43,29 +45,22 @@ def _require_finite(array: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Unit vector in C^d.  Set normalized=False to carry a raw vector."""
+    """Unit vector in C^d."""
 
     amplitudes: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         amps = _frozen(np.asarray(self.amplitudes).reshape(-1))
         object.__setattr__(self, "amplitudes", amps)
         if amps.size == 0:
             raise ValidationError("empty state vector")
-        if self.normalized:
-            norm = np.linalg.norm(amps)
-            if not abs(norm - 1.0) <= 1e-9:  # also false for NaN or inf entries
-                raise NormalizationError(f"norm {norm} is not 1")
-        else:
-            _require_finite(amps)
+        norm = np.linalg.norm(amps)
+        if not abs(norm - 1.0) <= 1e-9:  # also false for NaN or inf entries
+            raise NormalizationError(f"norm {norm} is not 1")
 
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -124,9 +119,7 @@ def _derived(cls, matrix: np.ndarray):
 
 
 def outer(psi: StateVector) -> PureDensity:
-    """|psi><psi| for a normalized psi (its constructor checked the norm)."""
-    if not psi.normalized:
-        raise NormalizationError("outer() requires a unit vector")
+    """|psi><psi| for a unit psi (its constructor checked the norm)."""
     a = psi.amplitudes
     return _derived(PureDensity, np.outer(a, a.conj()))
 

@@ -8,12 +8,16 @@ phase loop and zero times on the constant loop, which no continuous
 circle-valued family can reconcile; candidates that dodge the winding
 argument instead pay in worst-case output error.  Either way the verdict
 is `obstructed`.
+
+Loops are plain tuples: of `StateVector`s for the input loops and of
+complex numbers for the values of g along them.  `winding_number` checks
+what its answer depends on (enough points, closure, no zero, short steps).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,30 +30,6 @@ from .vecfun import canonical_vec
 MIN_LOOP_SAMPLES = 8
 MAX_REFINEMENTS = 10
 MOLLIFY_BANDWIDTH = 0.05
-
-LoopPoint = Union[complex, StateVector]
-
-
-@dataclass(frozen=True)
-class LoopSample:
-    """Discretized closed loop of circle points or state vectors."""
-
-    points: Tuple[LoopPoint, ...]
-    closed: bool = True
-
-    def __post_init__(self):
-        if len(self.points) < MIN_LOOP_SAMPLES:
-            raise ValidationError(
-                f"need at least {MIN_LOOP_SAMPLES} samples, got {len(self.points)}"
-            )
-        if self.closed:
-            first, last = self.points[0], self.points[-1]
-            if isinstance(first, StateVector):
-                gap = np.max(np.abs(first.amplitudes - last.amplitudes))
-            else:
-                gap = abs(complex(first) - complex(last))
-            if gap > 1e-9:
-                raise ValidationError(f"loop not closed (gap {gap:.2e})")
 
 
 @dataclass(frozen=True)
@@ -69,9 +49,18 @@ class AuditReport:
         return "obstructed" if mismatch or self.max_error >= self.threshold else "consistent"
 
 
-def winding_number(loop: LoopSample) -> int:
+def _require_samples(n: int) -> None:
+    if n < MIN_LOOP_SAMPLES:
+        raise ValidationError(f"need at least {MIN_LOOP_SAMPLES} samples, got {n}")
+
+
+def winding_number(points: Sequence[complex]) -> int:
     """Net number of circle wraps of a closed loop of nonzero complex points."""
-    z = np.array([complex(p) for p in loop.points])
+    z = np.array([complex(p) for p in points])
+    _require_samples(z.size)
+    gap = abs(z[0] - z[-1])
+    if gap > 1e-9:
+        raise ValidationError(f"loop not closed (gap {gap:.2e})")
     if np.any(np.abs(z) < 1e-12):
         raise ValidationError("loop passes through zero")
     steps = np.angle(z[1:] / z[:-1])
@@ -83,33 +72,28 @@ def winding_number(loop: LoopSample) -> int:
     return int(round(total))
 
 
-def phase_loop(x0: StateVector, k: int, n: int) -> LoopSample:
-    """Loop t -> e^{i 2 pi k t} x0 sampled at n+1 points of [0, 1]."""
-    if n < MIN_LOOP_SAMPLES:
-        raise ValidationError(f"need at least {MIN_LOOP_SAMPLES} samples, got {n}")
-    points = tuple(
+def phase_loop(x0: StateVector, k: int, n: int) -> Tuple[StateVector, ...]:
+    """Closed loop t -> e^{i 2 pi k t} x0 sampled at n+1 points of [0, 1]."""
+    _require_samples(n)
+    return tuple(
         StateVector(np.exp(2j * np.pi * k * j / n) * x0.amplitudes) for j in range(n + 1)
     )
-    return LoopSample(points=points, closed=True)
 
 
-def discontinuity_loop(n: int) -> LoopSample:
-    """States (-sin pi t, cos pi t): a density-matrix loop through |1><1|."""
-    if n < MIN_LOOP_SAMPLES:
-        raise ValidationError(f"need at least {MIN_LOOP_SAMPLES} samples, got {n}")
-    points = []
-    for j in range(n + 1):
-        t = j / n
-        points.append(StateVector(np.array([-np.sin(np.pi * t), np.cos(np.pi * t)])))
-    return LoopSample(points=tuple(points), closed=False)
+def discontinuity_loop(n: int) -> Tuple[StateVector, ...]:
+    """States (-sin pi t, cos pi t): a density-matrix loop through |1><1|.
+
+    The vectors are an open path: the last is minus the first."""
+    _require_samples(n)
+    ts = (j / n for j in range(n + 1))
+    return tuple(StateVector(np.array([-np.sin(np.pi * t), np.cos(np.pi * t)])) for t in ts)
 
 
 def _winding_along(A: AMap, x0: StateVector, k: int, n: int) -> int:
     for _ in range(MAX_REFINEMENTS):
-        loop = phase_loop(x0, k, n)
-        values = tuple(g_normalized(A, p) for p in loop.points)
+        values = tuple(g_normalized(A, p) for p in phase_loop(x0, k, n))
         try:
-            return winding_number(LoopSample(points=values, closed=True))
+            return winding_number(values)
         except RefinementNeededError:
             n *= 2
     raise RefinementNeededError(f"winding did not stabilize below n={n}")
@@ -140,7 +124,7 @@ def obstruction_audit(
         g_vanished = True
     max_error = 0.0
     for loop in (phase_loop(x0, 1, n), discontinuity_loop(n)):
-        for point in loop.points:
+        for point in loop:
             max_error = max(max_error, _best_phase_error(A, point, spec))
     return AuditReport(
         winding_constant=w_const,

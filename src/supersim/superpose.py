@@ -279,19 +279,13 @@ def _run_pipeline(
     spec: SuperpositionSpec,
     schedules: Tuple[Optional[TomographySchedule], Optional[TomographySchedule]],
     seed: int,
-    exact: bool,
 ) -> RandomSuperpositionOutcome:
+    """One run of both stages; schedules of None mean noiseless tomography."""
     sched_n, sched_m = schedules
-    est_x = vector_tomography(
-        oracle_u, sched_n, seeding.child_seed(seed, seeding.RUN, 0), exact=exact
-    )
+    est_x = vector_tomography(oracle_u, sched_n, seeding.child_seed(seed, seeding.RUN, 0))
     paired = est_x.x if spec.equal_magnitudes else None
     est_y = vector_tomography(
-        oracle_v,
-        sched_m,
-        seeding.child_seed(seed, seeding.RUN, 1),
-        paired_with=paired,
-        exact=exact,
+        oracle_v, sched_m, seeding.child_seed(seed, seeding.RUN, 1), paired_with=paired
     )
     if spec.equal_magnitudes:
         _check_vec_transfer(est_x.x, est_y.x, est_x.r)
@@ -320,7 +314,7 @@ def random_superposition(
     """
     oracle_u, oracle_v = _as_oracle(u), _as_oracle(v)
     schedules = _stage_schedules(oracle_u, oracle_v, spec, eps, exact)
-    return _run_pipeline(oracle_u, oracle_v, spec, schedules, seed, exact)
+    return _run_pipeline(oracle_u, oracle_v, spec, schedules, seed)
 
 
 def superposition_error(
@@ -361,12 +355,7 @@ def entangled_superposition(
     counts: Dict[IndexPair, int] = {}
     for t in range(trials):
         out = _run_pipeline(
-            oracle_u,
-            oracle_v,
-            spec,
-            schedules,
-            seeding.child_seed(seed, seeding.TRIAL, t),
-            exact,
+            oracle_u, oracle_v, spec, schedules, seeding.child_seed(seed, seeding.TRIAL, t)
         )
         counts[out.r] = counts.get(out.r, 0) + 1
     blocks = {

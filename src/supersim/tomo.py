@@ -6,21 +6,21 @@ family is informationally complete, so empirical frequencies invert
 linearly to a Hermitian matrix, which is then purified to the dominant
 eigenvector.  Shot noise is multinomial per setting, drawn from named
 counter-based streams, so every result is a pure function of (inputs, seed).
+
+Counts travel as one int64 array with a row per setting, in setting order;
+the dimension cap is checked once, when a `StateOracle` is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import seeding
-from .errors import (
-    IncompleteRecordsError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .calibration import lookup_constant, tail_exponent, TABLE_MAX_N
 from .linalg import PureDensity, StateVector, dominant_pure
 from .vecfun import select_r, select_r_paired, vec_i
@@ -48,21 +48,6 @@ class TomographySchedule:
         for delta in (self.delta_tr, self.delta_vec):
             if not 0.0 < delta < 1.0:
                 raise ValidationError(f"failure probability {delta} outside (0,1)")
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Outcome histogram of one setting."""
-
-    setting_id: int
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-        if np.any(counts < 0):
-            raise ValidationError("negative count")
 
 
 @dataclass(frozen=True)
@@ -132,21 +117,22 @@ class StateOracle:
     """Access to an unknown state through measurement statistics only."""
 
     def __init__(self, rho: PureDensity):
+        if rho.dim > MAX_TOMO_DIM:
+            raise ValidationError(f"dim {rho.dim} exceeds tomography cap {MAX_TOMO_DIM}")
         self.__rho = rho
 
     @property
     def dim(self) -> int:
         return self.__rho.dim
 
-    def sample(self, schedule: TomographySchedule, seed: int, *path: int) -> List[MeasurementRecord]:
-        if self.dim > MAX_TOMO_DIM:
-            raise ValidationError(f"dim {self.dim} exceeds tomography cap {MAX_TOMO_DIM}")
-        records = []
-        for s, basis in enumerate(setting_bases(self.dim)):
-            p = born_probabilities(self.__rho, basis)
-            rng = seeding.rng_for(seed, seeding.SETTING, s, *path)
-            records.append(MeasurementRecord(s, rng.multinomial(schedule.N, p)))
-        return records
+    def sample(self, shots: int, seed: int, *path: int) -> np.ndarray:
+        """Counts of `shots` draws per setting; row s from stream (seed, SETTING, s, *path)."""
+        return np.stack([
+            seeding.rng_for(seed, seeding.SETTING, s, *path).multinomial(
+                shots, born_probabilities(self.__rho, basis)
+            )
+            for s, basis in enumerate(setting_bases(self.dim))
+        ])
 
     def exact_frequencies(self) -> np.ndarray:
         return np.concatenate(
@@ -158,21 +144,10 @@ def _as_oracle(rho: Union[PureDensity, StateOracle]) -> StateOracle:
     return rho if isinstance(rho, StateOracle) else StateOracle(rho)
 
 
-def reconstruct(records: Sequence[MeasurementRecord]) -> PureDensity:
-    """Least-squares inversion of empirical frequencies, then purification."""
-    if not records:
-        raise IncompleteRecordsError("no measurement records")
-    d = records[0].counts.size
-    expected = set(range(setting_count(d)))
-    seen = {rec.setting_id for rec in records}
-    if seen != expected or len(records) != len(expected):
-        raise IncompleteRecordsError(
-            f"records cover settings {sorted(seen)}, need {sorted(expected)}"
-        )
-    freqs = np.concatenate(
-        [rec.counts / rec.counts.sum() for rec in sorted(records, key=lambda r: r.setting_id)]
-    )
-    return _reconstruct_from_frequencies(d, freqs)
+def reconstruct(counts: np.ndarray) -> PureDensity:
+    """Least-squares inversion of the per-setting frequencies, then purification."""
+    freqs = counts / counts.sum(axis=1, keepdims=True)
+    return _reconstruct_from_frequencies(counts.shape[1], freqs.reshape(-1))
 
 
 def _reconstruct_from_frequencies(d: int, freqs: np.ndarray) -> PureDensity:
@@ -218,20 +193,19 @@ def vector_tomography(
     schedule: Optional[TomographySchedule],
     seed: int,
     paired_with: Optional[PureDensity] = None,
-    exact: bool = False,
 ) -> VectorEstimate:
     """Estimate the state and emit the canonical vector for its own index.
 
-    With `paired_with` (an earlier estimate), the index is reused from that
-    estimate whenever the two are close; this keeps two estimates of nearly
-    equal states phase-consistent.  In exact mode the noiseless frequencies
-    are inverted and `schedule` is not used; it may be None.
+    A `schedule` of None means noiseless: the exact Born frequencies are
+    inverted and `seed` is not used.  With `paired_with` (an earlier
+    estimate), the index is reused from that estimate whenever the two are
+    close; this keeps two estimates of nearly equal states phase-consistent.
     """
     oracle = _as_oracle(rho)
-    if exact:
+    if schedule is None:
         x = _reconstruct_from_frequencies(oracle.dim, oracle.exact_frequencies())
     else:
-        x = reconstruct(oracle.sample(schedule, seed))
+        x = reconstruct(oracle.sample(schedule.N, seed))
     if paired_with is not None:
         r = select_r_paired(paired_with, x)
     else:

@@ -7,7 +7,6 @@ import time
 import numpy as np
 import pytest
 
-from conftest import haar_density, haar_vector
 from supersim import seeding
 from supersim.cli import main as cli_main
 from supersim.circuits import (
@@ -30,11 +29,9 @@ from supersim.obstruction import (
     obstruction_audit,
     phase_loop,
     winding_number,
-    LoopSample,
 )
 from supersim.superpose import (
     SuperpositionSpec,
-    copies_budget,
     random_superposition,
     superposition_error,
     threshold,
@@ -97,12 +94,12 @@ def test_criterion_2_contraction_identities():
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(100):
-        x = StateVector(seeding.haar_state(rng, 2))
+        x = seeding.haar_state(rng, 2)
         worst = max(
             worst,
-            float(np.max(np.abs(teleport_identity_check(x).amplitudes - 0.5 * x.amplitudes))),
-            float(np.max(np.abs(conjugate_bra(x).amplitudes - x.amplitudes / np.sqrt(2)))),
-            float(abs(sum(orthogonal_complement(x).amplitudes[i] * x.amplitudes[i] for i in range(2)))),
+            float(np.max(np.abs(teleport_identity_check(x) - 0.5 * x))),
+            float(np.max(np.abs(conjugate_bra(x) - x / np.sqrt(2)))),
+            float(abs(sum(orthogonal_complement(x)[i] * x[i] for i in range(2)))),
         )
     elapsed = time.time() - start
     report(
@@ -231,12 +228,10 @@ def test_criterion_9_obstruction_suite():
     ideal = ideal_candidate(EQUAL)
     windings_ok = True
     for n in (64, 4096):
-        loop = phase_loop(x0, 1, n)
-        values = tuple(g_normalized(ideal, p) for p in loop.points)
-        windings_ok &= winding_number(LoopSample(points=values, closed=True)) == 2
-        const = phase_loop(x0, 0, n)
-        values = tuple(g_normalized(ideal, p) for p in const.points)
-        windings_ok &= winding_number(LoopSample(points=values, closed=True)) == 0
+        values = [g_normalized(ideal, p) for p in phase_loop(x0, 1, n)]
+        windings_ok &= winding_number(values) == 2
+        values = [g_normalized(ideal, p) for p in phase_loop(x0, 0, n)]
+        windings_ok &= winding_number(values) == 0
     verdicts = {
         name: obstruction_audit(factory(EQUAL), EQUAL, x0, 64).verdict
         for name, factory in BUILTIN_CANDIDATES.items()
@@ -301,10 +296,10 @@ def test_criterion_12_calibration_between_dims():
         for i in range(200):
             rng = seeding.rng_for(2027, seeding.STATE, d, i)
             truth = outer(StateVector(seeding.haar_state(rng, d)))
-            records = StateOracle(truth).sample(
-                schedule, seeding.child_seed(2027, seeding.TRIAL, d, i)
+            counts = StateOracle(truth).sample(
+                schedule.N, seeding.child_seed(2027, seeding.TRIAL, d, i)
             )
-            misses += trace_distance(reconstruct(records), truth) > schedule.eps_tr
+            misses += trace_distance(reconstruct(counts), truth) > schedule.eps_tr
         rates[d] = misses / 200
     elapsed = time.time() - start
     report(

@@ -22,6 +22,7 @@ from supersim.linalg import (
     load_state,
     outer,
     partial_trace,
+    save_state,
     tensor,
 )
 from supersim.obstruction import BUILTIN_CANDIDATES
@@ -33,8 +34,6 @@ class TestNonFinite:
     def test_state_vector(self, bad):
         with pytest.raises(ValidationError):
             StateVector(np.array([bad, 0.0]))
-        with pytest.raises(ValidationError):
-            StateVector(np.array([bad, 1.0]), normalized=False)
 
     @pytest.mark.parametrize("cls", [DensityOperator, PureDensity])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -71,10 +70,6 @@ class TestDerivedValues:
         x = haar_vector(rng, 2)
         out = BUILTIN_CANDIDATES[name](spec)(outer(x), outer(haar_vector(rng, 2)))
         DensityOperator(out.matrix)
-
-    def test_outer_still_requires_unit_flag(self):
-        with pytest.raises(ValidationError):
-            outer(StateVector(np.array([2.0, 0.0]), normalized=False))
 
     def test_private_constructor_not_exported(self):
         assert not any(name.startswith("_") for name in supersim.__all__)
@@ -168,6 +163,21 @@ class TestCliRejections:
     )
     def test_usage_and_coefficient_errors(self, capsys, argv):
         _expect_envelope(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tomo", "--state", "{s}", "--exact"],
+            ["superpose", "--u", "{s}", "--v", "{s}", "--exact"],
+        ],
+        ids=["tomo", "superpose"],
+    )
+    def test_exact_mode_keeps_the_tomography_cap(self, tmp_path, capsys, rng, argv):
+        # d = 17 is one above MAX_TOMO_DIM; sampled runs were refused already.
+        path = tmp_path / "d17.json"
+        save_state(path, haar_vector(rng, 17))
+        error = _expect_envelope(capsys, [a.format(s=path) for a in argv])
+        assert "tomography cap" in error["message"]
 
     def test_exact_superpose_checks_eps(self, tmp_path, capsys):
         path = tmp_path / "zero.json"

@@ -1,10 +1,9 @@
 import json
 
-import numpy as np
 import pytest
 
 from supersim.cli import main
-from supersim.linalg import StateVector, basis_state, save_state
+from supersim.linalg import basis_state, save_state
 
 
 @pytest.fixture
@@ -56,6 +55,18 @@ class TestTomo:
         assert code == 0
         report = json.loads(out_path.read_text())
         assert report["results"]["schedule"]["N"] == 1000
+
+    def test_exact_report_omits_the_schedule(self, capsys, states):
+        code, out = run(capsys, "tomo", "--state", states[0], "--exact", "--seed", "3")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert "schedule" not in results
+        assert results["r"] == 0
+
+    def test_exact_mode_still_checks_shots(self, capsys, states):
+        code, out = run(capsys, "tomo", "--state", states[0], "--exact", "--shots", "10")
+        assert code == 2
+        assert "error" in json.loads(out)
 
     def test_malformed_state_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import haar_density, haar_vector
@@ -20,7 +20,6 @@ from supersim.linalg import (
     basis_state,
     canonical_phase,
     dominant_pure,
-    euclidean_distance,
     load_state,
     outer,
     partial_trace,
@@ -46,10 +45,6 @@ class TestStateVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(NormalizationError):
             StateVector(np.array([1.0, 1.0]))
-
-    def test_unnormalized_flag(self):
-        v = StateVector(np.array([1.0, 1.0]), normalized=False)
-        assert v.norm() == pytest.approx(np.sqrt(2))
 
     def test_amplitudes_read_only(self):
         v = basis_state(2, 0)

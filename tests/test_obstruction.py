@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import haar_vector
 from supersim.errors import RefinementNeededError, ValidationError
-from supersim.linalg import StateVector, basis_state
+from supersim.linalg import StateVector
 from supersim.obstruction import (
     BUILTIN_CANDIDATES,
     AuditReport,
-    LoopSample,
     constant_candidate,
     discontinuity_loop,
     ideal_candidate,
@@ -24,9 +23,9 @@ EQUAL = SuperpositionSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
 X0 = StateVector(np.array([1.0, 0.0]))
 
 
-def circle_loop(k: int, n: int) -> LoopSample:
+def circle_loop(k: int, n: int) -> tuple:
     ts = np.arange(n + 1) / n
-    return LoopSample(points=tuple(np.exp(2j * np.pi * k * ts)), closed=True)
+    return tuple(np.exp(2j * np.pi * k * ts))
 
 
 class TestWindingNumber:
@@ -47,54 +46,54 @@ class TestWindingNumber:
             assert winding_number(circle_loop(2, n)) == 2
 
     def test_cyclic_rotation_invariance(self):
-        pts = list(circle_loop(2, 64).points[:-1])
+        pts = list(circle_loop(2, 64)[:-1])
         for shift in (1, 7, 20):
             rotated = pts[shift:] + pts[:shift] + [pts[shift]]
-            assert winding_number(LoopSample(points=tuple(rotated), closed=True)) == 2
+            assert winding_number(rotated) == 2
 
     @given(st.integers(-3, 3), st.integers(-3, 3))
     @settings(max_examples=25, deadline=None)
     def test_product_adds_windings(self, j, k):
         a, b = circle_loop(j, 256), circle_loop(k, 256)
-        product = tuple(x * y for x, y in zip(a.points, b.points))
-        assert winding_number(LoopSample(points=product, closed=True)) == j + k
+        product = tuple(x * y for x, y in zip(a, b))
+        assert winding_number(product) == j + k
 
     def test_aliasing_detected(self):
         with pytest.raises(RefinementNeededError):
             winding_number(circle_loop(5, 10))
 
     def test_zero_point_rejected(self):
-        pts = list(circle_loop(1, 64).points)
+        pts = list(circle_loop(1, 64))
         pts[3] = 0.0
         with pytest.raises(ValidationError):
-            winding_number(LoopSample(points=tuple(pts), closed=True))
+            winding_number(pts)
 
     def test_too_few_samples(self):
         with pytest.raises(ValidationError):
-            LoopSample(points=tuple(np.exp(2j * np.pi * np.arange(5) / 4)), closed=True)
+            winding_number(tuple(np.exp(2j * np.pi * np.arange(5) / 4)))
 
     def test_open_loop_rejected(self):
         pts = tuple(np.exp(2j * np.pi * np.arange(9) / 16))
         with pytest.raises(ValidationError):
-            LoopSample(points=pts, closed=True)
+            winding_number(pts)
 
 
 class TestPhaseLoop:
     def test_closure_and_length(self):
         loop = phase_loop(X0, 1, 64)
-        assert len(loop.points) == 65
-        assert np.allclose(loop.points[0].amplitudes, loop.points[-1].amplitudes)
+        assert len(loop) == 65
+        assert np.allclose(loop[0].amplitudes, loop[-1].amplitudes)
 
     def test_densities_constant(self, rng):
         x0 = haar_vector(rng, 2)
         loop = phase_loop(x0, 1, 16)
         base = np.outer(x0.amplitudes, x0.amplitudes.conj())
-        for p in loop.points:
+        for p in loop:
             assert np.allclose(np.outer(p.amplitudes, p.amplitudes.conj()), base)
 
     def test_zero_winding_constant(self):
         loop = phase_loop(X0, 0, 16)
-        for p in loop.points:
+        for p in loop:
             assert np.allclose(p.amplitudes, X0.amplitudes)
 
 
@@ -141,7 +140,7 @@ class TestAudit:
 class TestDiscontinuityLoop:
     def test_endpoints_share_density(self):
         loop = discontinuity_loop(64)
-        first, last = loop.points[0], loop.points[-1]
+        first, last = loop[0], loop[-1]
         assert np.allclose(
             np.outer(first.amplitudes, first.amplitudes.conj()),
             np.outer(last.amplitudes, last.amplitudes.conj()),

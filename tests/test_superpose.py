@@ -18,7 +18,6 @@ from supersim.linalg import (
     StateVector,
     basis_state,
     outer,
-    trace_distance,
 )
 from supersim.superpose import (
     EntangledSuperposition,
