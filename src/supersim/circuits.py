@@ -7,7 +7,13 @@ carries the qubit identities used throughout (Bell-contraction teleport
 factor, conjugated bra, orthogonal complement) and the `g_functional`
 diagnostic that probes a candidate superposition map along the complement
 direction.  The identities are raw contractions, not states: they take and
-return plain complex arrays of size 2.
+return plain complex arrays of size 2 (the orthogonal complement also
+takes an (n, 2) stack).
+
+A candidate map (`AMap`) acts on stacks of 2x2 densities, and
+`_candidate_output`, `g_functional` and `g_normalized` take an (n, 2)
+stack of unit kets and return one value per row; the candidate's output
+is checked once per stack.
 """
 
 from __future__ import annotations
@@ -28,17 +34,19 @@ from .errors import (
 from .linalg import (
     DensityOperator,
     PureDensity,
-    StateVector,
     _derived,
     kron_all,
-    outer,
+    outers,
     partial_trace,
 )
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
-AMap = Callable[[PureDensity, PureDensity], DensityOperator]
+# A single-outcome candidate map, evaluated on stacks: the (n, 2, 2) input
+# densities and the (n, 2, 2) densities of their complements give the
+# (n, 2, 2) unnormalized outputs.
+AMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _check_unitary(v: np.ndarray) -> None:
@@ -139,48 +147,55 @@ def orthogonal_complement(x: np.ndarray) -> np.ndarray:
     """Bra components of (<00|+<11|)(|x> (x) sigma_y): (ib, -ia) for x=(a,b).
 
     The unconjugated dot product with x is exactly zero, and the map is
-    linear in x.  The corresponding ket is the entrywise conjugate.
+    linear in x.  The corresponding ket is the entrywise conjugate.  An
+    (n, 2) stack of qubits gives the (n, 2) stack of their complements.
     """
-    a, b = _qubit(x)
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim not in (1, 2) or x.shape[-1] != 2:
+        raise DimensionMismatchError(f"qubit amplitudes expected, got shape {x.shape}")
+    a, b = x[..., 0], x[..., 1]
     # Written out scalar-by-scalar so the dot with x cancels exactly.
-    return np.array([1j * b, -1j * a])
+    return np.stack([1j * b, -1j * a], axis=-1)
 
 
-def complement_ket(x: StateVector) -> StateVector:
-    """Ket orthogonal to x (in the Hermitian inner product), unit norm."""
-    return StateVector(orthogonal_complement(x.amplitudes).conj())
+def _candidate_output(A: AMap, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Evaluate a candidate on a stack of (x, complement) pairs.
 
-
-def _candidate_output(A: AMap, x: StateVector) -> Tuple[DensityOperator, StateVector, StateVector]:
-    """Evaluate a candidate on (x, complement) and hand back the frame."""
-    perp = complement_ket(x)
-    out = A(outer(x), outer(perp))
-    if not isinstance(out, DensityOperator):
-        raise InvalidMapError("candidate must return a density operator")
-    if out.dim != x.dim:
-        raise InvalidMapError(f"candidate output dim {out.dim} != input dim {x.dim}")
-    if out.trace <= 0.0:
-        raise InvalidMapError(f"candidate trace {out.trace} is not positive")
-    return out, x, perp
-
-
-def g_functional(A: AMap, x: StateVector) -> complex:
-    """Complement-direction matrix element of a normalized candidate output.
-
-    Returns <x_perp| A(xx^dag, perp perp^dag)/tr |x> with the bra taken as
-    the raw sigma_y contraction (no conjugation).  Both contractions are
-    1-homogeneous in x, so for any candidate that sees only the density
-    matrices the value picks up a factor e^{2i theta} when x does e^{i theta}.
+    `xs` is an (n, 2) stack of unit kets.  Returns the candidate's outputs
+    divided by their traces, (n, 2, 2), and the complement kets, (n, 2).
+    The output stack is checked once: its shape, and every trace positive.
     """
-    out, x, _ = _candidate_output(A, x)
-    bra = orthogonal_complement(x.amplitudes)
-    return complex(bra @ (out.matrix / out.trace) @ x.amplitudes)
+    perps = orthogonal_complement(xs).conj()
+    out = A(outers(xs), outers(perps))
+    if not isinstance(out, np.ndarray) or out.shape != (len(xs), 2, 2):
+        raise InvalidMapError(
+            f"candidate must return a ({len(xs)}, 2, 2) stack, got {getattr(out, 'shape', out)!r}"
+        )
+    traces = np.trace(out, axis1=1, axis2=2).real
+    bad = ~(traces > 0.0)  # NaN traces fail too
+    if bad.any():
+        raise InvalidMapError(f"candidate trace {traces[bad][0]} is not positive")
+    return out / traces[:, None, None], perps
 
 
-def g_normalized(A: AMap, x: StateVector) -> complex:
-    """g / |g|, the circle-valued form; zero g is an explicit failure."""
-    g = g_functional(A, x)
-    if abs(g) < 1e-12:
+def g_functional(A: AMap, xs: np.ndarray) -> np.ndarray:
+    """Complement-direction matrix element of the normalized candidate outputs.
+
+    For each row x of the (n, 2) stack, <x_perp| A(xx^dag, perp perp^dag)/tr |x>
+    with the bra taken as the raw sigma_y contraction (no conjugation).  Both
+    contractions are 1-homogeneous in x, so for any candidate that sees only
+    the density matrices the value picks up a factor e^{2i theta} when x
+    does e^{i theta}.
+    """
+    rhos, _ = _candidate_output(A, xs)
+    bras = orthogonal_complement(xs)
+    return (bras[:, None, :] @ rhos @ xs[:, :, None])[:, 0, 0]
+
+
+def g_normalized(A: AMap, xs: np.ndarray) -> np.ndarray:
+    """g / |g|, the circle-valued form; a zero g anywhere is an explicit failure."""
+    g = g_functional(A, xs)
+    mag = np.abs(g)
+    if np.any(mag < 1e-12):
         raise ZeroFunctionalError("g vanishes; cannot normalize")
-    return g / abs(g)
-
+    return g / mag

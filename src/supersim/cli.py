@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from importlib import resources
@@ -77,14 +78,22 @@ def _load_density(path: str) -> PureDensity:
     return PureDensity(state.matrix / state.trace)
 
 
-def _report_schema() -> dict:
-    return json.loads(
+@functools.lru_cache(maxsize=1)
+def _report_validator():
+    """The report schema's validator, built (and the schema checked) once."""
+    schema = json.loads(
         resources.files("supersim.data").joinpath("report.schema.json").read_text()
     )
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _emit_report(report: dict, out: Optional[str]) -> None:
-    jsonschema.validate(report, _report_schema())
+    # What `jsonschema.validate` raises, without rebuilding the validator.
+    error = jsonschema.exceptions.best_match(_report_validator().iter_errors(report))
+    if error is not None:
+        raise error
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
         Path(out).write_text(text)
@@ -133,13 +142,17 @@ def _cmd_superpose(args) -> dict:
         "trace_floor": trace_floor(spec, d),
     }
     t_n, t_m = budget_thresholds(spec, d, args.eps)  # checks eps in exact mode too
+    schedules = None
     if not args.exact:
-        n, m = copies_budget(spec, d, args.eps)
-        results["budgets"] = {"N": n, "M": m, "target_N": t_n, "target_M": t_m}
+        # One budget search: the run uses the schedules whose N and M are reported.
+        schedules = copies_budget(spec, d, args.eps)
+        results["budgets"] = {
+            "N": schedules[0].N, "M": schedules[1].N, "target_N": t_n, "target_M": t_m,
+        }
     if args.entangled:
         ent = entangled_superposition(
             StateOracle(u), StateOracle(v), spec, args.eps, args.seed,
-            trials=args.trials, exact=args.exact,
+            trials=args.trials, exact=args.exact, schedules=schedules,
         )
         results["blocks"] = [
             {
@@ -151,7 +164,8 @@ def _cmd_superpose(args) -> dict:
         ]
     else:
         out = random_superposition(
-            StateOracle(u), StateOracle(v), spec, args.eps, args.seed, exact=args.exact
+            StateOracle(u), StateOracle(v), spec, args.eps, args.seed,
+            exact=args.exact, schedules=schedules,
         )
         results["r"] = list(out.r)
         results["phi_r"] = out.phi_r
@@ -181,10 +195,8 @@ def _cmd_audit(args) -> dict:
         x0 = StateVector(np.array([1.0, 0.0]))
     report = obstruction_audit(candidate, spec, x0, args.samples)
     if args.csv:
-        rows = [
-            (j / args.samples, _best_phase_error(candidate, point, spec))
-            for j, point in enumerate(discontinuity_loop(args.samples))
-        ]
+        errors = _best_phase_error(candidate, discontinuity_loop(args.samples), spec)
+        rows = [(j / args.samples, e) for j, e in enumerate(errors.tolist())]
         _write_csv(args.csv, ["t", "error"], rows)
     return {
         "subcommand": "audit",
@@ -299,7 +311,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The `supersim` argument parser, built once per process.
+
+    Parsing leaves it unchanged, so `main` reuses it; building one per call
+    took a large share of a short run and left cyclic garbage behind it.
+    """
     parser = _Parser(
         prog="supersim",
         description="Simulators and audits for superposing unknown quantum states.",

@@ -124,20 +124,45 @@ def outer(psi: StateVector) -> PureDensity:
     return _derived(PureDensity, np.outer(a, a.conj()))
 
 
+def outers(kets: np.ndarray) -> np.ndarray:
+    """|k><k| for every row of an (n, d) stack of kets: an (n, d, d) stack."""
+    return kets[:, :, None] * kets.conj()[:, None, :]
+
+
+def row_norms(kets: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of an (n, d) stack.
+
+    Sums the squares as `np.linalg.norm` does on one vector (real parts,
+    then imaginary parts, each by a dot product), so a row's norm has the
+    same bits as that vector's.
+    """
+    return np.sqrt(np.vecdot(kets.real, kets.real) + np.vecdot(kets.imag, kets.imag))
+
+
 def _require_same_dim(a, b) -> None:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims {a.dim} and {b.dim} differ")
 
 
-def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
+def trace_distance(
+    a: Union[DensityOperator, np.ndarray], b: Union[DensityOperator, np.ndarray]
+) -> Union[float, np.ndarray]:
     """Sum of singular values of a-b (orthogonal pure states -> 2).
 
     The difference of Hermitian matrices is Hermitian, so singular values
-    come from an eigendecomposition rather than a general SVD.
+    come from an eigendecomposition rather than a general SVD.  Given two
+    (n, d, d) stacks of Hermitian matrices instead of two operators, it
+    returns the n distances of the pairs.
     """
-    _require_same_dim(a, b)
-    eigs = np.linalg.eigvalsh(a.matrix - b.matrix)
-    return float(np.sum(np.abs(eigs)))
+    stacked = isinstance(a, np.ndarray)
+    if stacked:
+        if a.shape != b.shape:
+            raise DimensionMismatchError(f"stack shapes {a.shape} and {b.shape} differ")
+    else:
+        _require_same_dim(a, b)
+        a, b = a.matrix, b.matrix
+    dist = np.sum(np.abs(np.linalg.eigvalsh(a - b)), axis=-1)
+    return dist if stacked else float(dist)
 
 
 def euclidean_distance(u: StateVector, v: StateVector) -> float:

@@ -9,23 +9,33 @@ circle-valued family can reconcile; candidates that dodge the winding
 argument instead pay in worst-case output error.  Either way the verdict
 is `obstructed`.
 
-Loops are plain tuples: of `StateVector`s for the input loops and of
-complex numbers for the values of g along them.  `winding_number` checks
-what its answer depends on (enough points, closure, no zero, short steps).
+The audit works on stacks, one row per loop point.  A loop of inputs is
+an (n+1, 2) complex array of kets, and a candidate (`circuits.AMap`) maps
+the (n+1, 2, 2) stacks of input densities and of their complements to one
+stack of outputs, so each loop costs one candidate call and one
+eigenvalue pass, whatever n is.  The values of g along a loop are a 1-D
+complex array, and `winding_number` checks what its answer depends on
+(enough points, closure, no zero, short steps).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .errors import RefinementNeededError, ValidationError, ZeroFunctionalError
+from .config import TOL
+from .errors import (
+    DegenerateSuperpositionError,
+    RefinementNeededError,
+    ValidationError,
+    ZeroFunctionalError,
+)
 from .circuits import AMap, _candidate_output, g_normalized
-from .linalg import DensityOperator, PureDensity, StateVector, _derived, trace_distance
-from .superpose import SuperpositionSpec, target_superposition, threshold
-from .vecfun import canonical_vec
+from .linalg import StateVector, outers, row_norms, trace_distance
+from .superpose import SuperpositionSpec, threshold
+from .vecfun import canonical_vecs
 
 MIN_LOOP_SAMPLES = 8
 MAX_REFINEMENTS = 10
@@ -54,9 +64,11 @@ def _require_samples(n: int) -> None:
         raise ValidationError(f"need at least {MIN_LOOP_SAMPLES} samples, got {n}")
 
 
-def winding_number(points: Sequence[complex]) -> int:
+def winding_number(points: np.ndarray) -> int:
     """Net number of circle wraps of a closed loop of nonzero complex points."""
-    z = np.array([complex(p) for p in points])
+    z = np.asarray(points, dtype=np.complex128)
+    if z.ndim != 1:
+        raise ValidationError(f"a loop is a 1-D array of points, got shape {z.shape}")
     _require_samples(z.size)
     gap = abs(z[0] - z[-1])
     if gap > 1e-9:
@@ -72,26 +84,25 @@ def winding_number(points: Sequence[complex]) -> int:
     return int(round(total))
 
 
-def phase_loop(x0: StateVector, k: int, n: int) -> Tuple[StateVector, ...]:
-    """Closed loop t -> e^{i 2 pi k t} x0 sampled at n+1 points of [0, 1]."""
+def phase_loop(x0: StateVector, k: int, n: int) -> np.ndarray:
+    """Closed loop t -> e^{i 2 pi k t} x0 at n+1 points of [0, 1], as (n+1, d) rows."""
     _require_samples(n)
-    return tuple(
-        StateVector(np.exp(2j * np.pi * k * j / n) * x0.amplitudes) for j in range(n + 1)
-    )
+    phases = np.exp(2j * np.pi * k * np.arange(n + 1) / n)
+    return phases[:, None] * x0.amplitudes
 
 
-def discontinuity_loop(n: int) -> Tuple[StateVector, ...]:
-    """States (-sin pi t, cos pi t): a density-matrix loop through |1><1|.
+def discontinuity_loop(n: int) -> np.ndarray:
+    """States (-sin pi t, cos pi t) at n+1 points: a density-matrix loop through |1><1|.
 
-    The vectors are an open path: the last is minus the first."""
+    The rows are an open path of vectors: the last is minus the first."""
     _require_samples(n)
-    ts = (j / n for j in range(n + 1))
-    return tuple(StateVector(np.array([-np.sin(np.pi * t), np.cos(np.pi * t)])) for t in ts)
+    t = np.arange(n + 1) / n
+    return np.stack([-np.sin(np.pi * t), np.cos(np.pi * t)], axis=-1).astype(np.complex128)
 
 
 def _winding_along(A: AMap, x0: StateVector, k: int, n: int) -> int:
     for _ in range(MAX_REFINEMENTS):
-        values = tuple(g_normalized(A, p) for p in phase_loop(x0, k, n))
+        values = g_normalized(A, phase_loop(x0, k, n))
         try:
             return winding_number(values)
         except RefinementNeededError:
@@ -99,15 +110,24 @@ def _winding_along(A: AMap, x0: StateVector, k: int, n: int) -> int:
     raise RefinementNeededError(f"winding did not stabilize below n={n}")
 
 
-def _best_phase_error(A: AMap, x: StateVector, spec: SuperpositionSpec) -> float:
-    """Output error against the most favorable per-point target phase."""
-    out, x, perp = _candidate_output(A, x)
-    rho = _derived(DensityOperator, out.matrix / out.trace)
+def _best_phase_error(A: AMap, xs: np.ndarray, spec: SuperpositionSpec) -> np.ndarray:
+    """Output error at every row of xs against its most favorable target phase.
+
+    Each target is `target_superposition(x, perp, spec, phi)`, built row by
+    row here, at the phase phi of the output's cross term.
+    """
+    rhos, perps = _candidate_output(A, xs)
     cross = np.conj(spec.alpha) * spec.beta * (
-        x.amplitudes.conj() @ rho.matrix @ perp.amplitudes
-    )
-    phi = float(np.angle(cross)) if abs(cross) > 1e-15 else 0.0
-    return trace_distance(rho, target_superposition(x, perp, spec, phi))
+        xs.conj()[:, None, :] @ rhos @ perps[:, :, None]
+    )[:, 0, 0]
+    phi = np.where(np.abs(cross) > 1e-15, np.angle(cross), 0.0)
+    w = (spec.alpha * np.exp(1j * phi))[:, None] * xs + spec.beta * perps
+    norms = row_norms(w)
+    if np.any(norms <= TOL.nonzero):
+        raise DegenerateSuperpositionError(
+            "coefficients cancel exactly; superposition is the zero vector"
+        )
+    return trace_distance(rhos, outers(w / norms[:, None]))
 
 
 def obstruction_audit(
@@ -122,14 +142,14 @@ def obstruction_audit(
         w_const = _winding_along(A, x0, 0, n)
     except ZeroFunctionalError:
         g_vanished = True
-    max_error = 0.0
-    for loop in (phase_loop(x0, 1, n), discontinuity_loop(n)):
-        for point in loop:
-            max_error = max(max_error, _best_phase_error(A, point, spec))
+    max_error = max(
+        float(_best_phase_error(A, loop, spec).max())
+        for loop in (phase_loop(x0, 1, n), discontinuity_loop(n))
+    )
     return AuditReport(
         winding_constant=w_const,
         winding_phase_loop=w_phase,
-        max_error=float(max_error),
+        max_error=max_error,
         threshold=threshold(spec),
         g_vanished=g_vanished,
     )
@@ -144,12 +164,12 @@ def ideal_candidate(spec: SuperpositionSpec, phi: float = 0.0) -> AMap:
     its g winds twice under a global rephasing of the input vector.
     """
 
-    def A(rho_u: PureDensity, rho_v: PureDensity) -> DensityOperator:
+    def A(rho_u: np.ndarray, rho_v: np.ndarray) -> np.ndarray:
         w = (
-            spec.alpha * np.exp(1j * phi) * canonical_vec(rho_u).amplitudes
-            + spec.beta * canonical_vec(rho_v).amplitudes
+            spec.alpha * np.exp(1j * phi) * canonical_vecs(rho_u)
+            + spec.beta * canonical_vecs(rho_v)
         )
-        return _derived(DensityOperator, np.outer(w, w.conj()))
+        return outers(w)
 
     return A
 
@@ -161,23 +181,22 @@ def mollified_candidate(spec: SuperpositionSpec, bandwidth: float = MOLLIFY_BAND
     on states with small first-coordinate weight.
     """
 
-    def mvec(rho: PureDensity) -> np.ndarray:
-        w00 = np.sqrt(max(rho.matrix[0, 0].real, 0.0))
-        return rho.matrix[:, 0] / max(w00, bandwidth)
+    def mvecs(rhos: np.ndarray) -> np.ndarray:
+        w00 = np.sqrt(np.maximum(rhos[:, 0, 0].real, 0.0))
+        return rhos[:, :, 0] / np.maximum(w00, bandwidth)[:, None]
 
-    def A(rho_u: PureDensity, rho_v: PureDensity) -> DensityOperator:
-        w = spec.alpha * mvec(rho_u) + spec.beta * mvec(rho_v)
-        return _derived(DensityOperator, np.outer(w, w.conj()))
+    def A(rho_u: np.ndarray, rho_v: np.ndarray) -> np.ndarray:
+        return outers(spec.alpha * mvecs(rho_u) + spec.beta * mvecs(rho_v))
 
     return A
 
 
 def constant_candidate(spec: SuperpositionSpec) -> AMap:
     """Input-ignoring candidate: always |+><+|."""
-    plus = _derived(DensityOperator, np.full((2, 2), 0.5))
+    plus = np.full((2, 2), 0.5 + 0j)
 
-    def A(rho_u: PureDensity, rho_v: PureDensity) -> DensityOperator:
-        return plus
+    def A(rho_u: np.ndarray, rho_v: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(plus, rho_u.shape)
 
     return A
 

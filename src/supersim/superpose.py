@@ -59,6 +59,7 @@ EQUAL_MAG_TOL = 1e-12
 COEFF_MAG_RANGE = (1e-100, 1e100)
 
 IndexPair = Tuple[int, int]
+Schedules = Tuple[TomographySchedule, TomographySchedule]
 
 
 @dataclass(frozen=True)
@@ -204,10 +205,16 @@ def _budget_schedules(
     return schedule_for(d, n, kn), schedule_for(d, m, km)
 
 
-def copies_budget(spec: SuperpositionSpec, d: int, eps: float) -> Tuple[int, int]:
-    """Shot counts (N, M) for the two tomography stages at target error eps."""
-    sched_n, sched_m = _budget_schedules(spec, d, eps)
-    return sched_n.N, sched_m.N
+def copies_budget(
+    spec: SuperpositionSpec, d: int, eps: float
+) -> Schedules:
+    """Schedules of the two tomography stages at target error eps.
+
+    Their shot counts `N` are the copy budgets (N, M).  Passing them to
+    `random_superposition` or `entangled_superposition` as `schedules` runs
+    the pipeline on them without a second search.
+    """
+    return _budget_schedules(spec, d, eps)
 
 
 def _gamma(rho: PureDensity, i: int) -> float:
@@ -264,13 +271,14 @@ def _stage_schedules(
     spec: SuperpositionSpec,
     eps: float,
     exact: bool,
+    schedules: Optional[Schedules],
 ) -> Tuple[Optional[TomographySchedule], Optional[TomographySchedule]]:
     d = oracle_u.dim
     if oracle_v.dim != d:
         raise DimensionMismatchError(f"dims {d} and {oracle_v.dim} differ")
     if exact:
         return None, None
-    return _budget_schedules(spec, d, eps)
+    return schedules if schedules is not None else _budget_schedules(spec, d, eps)
 
 
 def _run_pipeline(
@@ -303,6 +311,7 @@ def random_superposition(
     eps: float,
     seed: int,
     exact: bool = False,
+    schedules: Optional[Schedules] = None,
 ) -> RandomSuperpositionOutcome:
     """Superpose two unknown states, accessed through measurements only.
 
@@ -310,10 +319,11 @@ def random_superposition(
     vectors with weights |alpha| and |beta|, and renormalizes.  The index
     pair r is random (it depends on the sampled estimates); the relative
     phase of the output is whatever r implies.  In exact mode the sampling
-    noise is turned off and the budgets are skipped.
+    noise is turned off and the budgets are skipped.  `schedules` from
+    `copies_budget(spec, d, eps)` spare the run its own budget search.
     """
     oracle_u, oracle_v = _as_oracle(u), _as_oracle(v)
-    schedules = _stage_schedules(oracle_u, oracle_v, spec, eps, exact)
+    schedules = _stage_schedules(oracle_u, oracle_v, spec, eps, exact, schedules)
     return _run_pipeline(oracle_u, oracle_v, spec, schedules, seed)
 
 
@@ -337,13 +347,15 @@ def entangled_superposition(
     seed: int,
     trials: int,
     exact: bool = False,
+    schedules: Optional[Schedules] = None,
 ) -> EntangledSuperposition:
     """Block mixture over index pairs with Monte-Carlo weights.
 
     Each trial runs the full pipeline on a fresh seed and contributes its
     index pair; the trials share one budget search.  Block states are the
     noiseless per-index outputs.  Exact mode is deterministic, so it
-    collapses to a single block.
+    collapses to a single block.  `schedules` are as for
+    `random_superposition`.
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
@@ -351,7 +363,7 @@ def entangled_superposition(
     truth_u, truth_v = _oracle_density(oracle_u), _oracle_density(oracle_v)
     if exact:
         trials = 1
-    schedules = _stage_schedules(oracle_u, oracle_v, spec, eps, exact)
+    schedules = _stage_schedules(oracle_u, oracle_v, spec, eps, exact, schedules)
     counts: Dict[IndexPair, int] = {}
     for t in range(trials):
         out = _run_pipeline(

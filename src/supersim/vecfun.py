@@ -2,7 +2,8 @@
 
 A pure density matrix fixes its vector only up to global phase.  The maps
 here pick one representative per matrix: `canonical_vec` renormalizes the
-first column with nonvanishing weight, `vec_i` starts the column scan at an
+first column with nonvanishing weight (`canonical_vecs` does so for a
+whole stack of matrices at once), `vec_i` starts the column scan at an
 arbitrary index, and `select_r` / `select_r_paired` choose the scan index
 from the matrix itself so the chosen map is continuous near its input.
 `discontinuity_probe` exhibits the sign jump that rules out a single
@@ -15,7 +16,15 @@ import numpy as np
 
 from .config import TOL
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import PureDensity, StateVector, canonical_phase, euclidean_distance, outer, trace_distance
+from .linalg import (
+    PureDensity,
+    StateVector,
+    canonical_phase,
+    euclidean_distance,
+    outer,
+    row_norms,
+    trace_distance,
+)
 
 
 def _column_vec(rho: PureDensity, i: int) -> np.ndarray:
@@ -36,6 +45,27 @@ def canonical_vec(rho: PureDensity) -> StateVector:
             v = canonical_phase(v)
             return StateVector(v / np.linalg.norm(v))
     raise ValidationError("no diagonal entry above threshold; corrupted input")
+
+
+def canonical_vecs(rhos: np.ndarray) -> np.ndarray:
+    """`canonical_vec` of every matrix of an (n, d, d) stack, as (n, d) rows.
+
+    The same rules in the same arithmetic: the first column whose diagonal
+    is above `TOL.nonzero`, divided by the root of that diagonal; its first
+    entry above `TOL.nonzero` rotated real positive; then renormalized.
+    """
+    rows = np.arange(rhos.shape[0])
+    diag = rhos.diagonal(axis1=1, axis2=2).real
+    above = diag > TOL.nonzero
+    if not above.any(axis=1).all():
+        raise ValidationError("no diagonal entry above threshold; corrupted input")
+    i = above.argmax(axis=1)
+    v = rhos[rows, :, i] / np.sqrt(diag[rows, i])[:, None]
+    # v[i] is at least sqrt(TOL.nonzero), so every row has a pivot.
+    mags = np.abs(v)
+    j = (mags > TOL.nonzero).argmax(axis=1)
+    v = v * (v[rows, j].conj() / mags[rows, j])[:, None]
+    return v / row_norms(v)[:, None]
 
 
 def vec_i(rho: PureDensity, i: int) -> StateVector:

@@ -228,10 +228,8 @@ def test_criterion_9_obstruction_suite():
     ideal = ideal_candidate(EQUAL)
     windings_ok = True
     for n in (64, 4096):
-        values = [g_normalized(ideal, p) for p in phase_loop(x0, 1, n)]
-        windings_ok &= winding_number(values) == 2
-        values = [g_normalized(ideal, p) for p in phase_loop(x0, 0, n)]
-        windings_ok &= winding_number(values) == 0
+        windings_ok &= winding_number(g_normalized(ideal, phase_loop(x0, 1, n))) == 2
+        windings_ok &= winding_number(g_normalized(ideal, phase_loop(x0, 0, n))) == 0
     verdicts = {
         name: obstruction_audit(factory(EQUAL), EQUAL, x0, 64).verdict
         for name, factory in BUILTIN_CANDIDATES.items()

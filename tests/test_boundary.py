@@ -67,9 +67,12 @@ class TestDerivedValues:
     @pytest.mark.parametrize("name", sorted(BUILTIN_CANDIDATES))
     def test_builtin_candidate_outputs(self, name, rng):
         spec = SuperpositionSpec(0.6, 0.8j)
-        x = haar_vector(rng, 2)
-        out = BUILTIN_CANDIDATES[name](spec)(outer(x), outer(haar_vector(rng, 2)))
-        DensityOperator(out.matrix)
+        rho_u, rho_v = (np.stack([outer(haar_vector(rng, 2)).matrix for _ in range(8)])
+                        for _ in range(2))
+        out = BUILTIN_CANDIDATES[name](spec)(rho_u, rho_v)
+        assert out.shape == (8, 2, 2)
+        for matrix in out:
+            DensityOperator(matrix)
 
     def test_private_constructor_not_exported(self):
         assert not any(name.startswith("_") for name in supersim.__all__)

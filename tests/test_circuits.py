@@ -6,7 +6,6 @@ from supersim.errors import DimensionMismatchError, InvalidMapError, ValidationE
 from supersim.circuits import (
     PostselectionCircuit,
     apply_postselection,
-    complement_ket,
     conjugate_bra,
     g_functional,
     g_normalized,
@@ -132,47 +131,71 @@ class TestBraKetIdentities:
         )
 
     def test_complement_ket_hermitian_orthogonal(self, rng):
-        x = haar_vector(rng, 2)
-        perp = complement_ket(x)
-        assert abs(np.vdot(perp.amplitudes, x.amplitudes)) < 1e-15
-        assert np.linalg.norm(perp.amplitudes) == pytest.approx(1.0)
+        # The complement ket of the audit is the conjugated complement bra.
+        x = haar_vector(rng, 2).amplitudes
+        perp = orthogonal_complement(x).conj()
+        assert abs(np.vdot(perp, x)) < 1e-15
+        assert np.linalg.norm(perp) == pytest.approx(1.0)
+
+    def test_complement_of_a_stack(self, rng):
+        xs = np.array([haar_vector(rng, 2).amplitudes for _ in range(10)])
+        stacked = orthogonal_complement(xs)
+        for x, oc in zip(xs, stacked):
+            assert np.array_equal(oc, orthogonal_complement(x))
+        for shape in [(3,), (4, 3), (2, 2, 2)]:
+            with pytest.raises(DimensionMismatchError):
+                orthogonal_complement(np.zeros(shape))
 
     def test_wrong_dim(self):
         with pytest.raises(DimensionMismatchError):
             teleport_identity_check(basis_state(3, 0).amplitudes)
 
 
+def haar_stack(rng, n):
+    return np.array([haar_vector(rng, 2).amplitudes for _ in range(n)])
+
+
+def constant_map(matrix):
+    """A candidate that returns `matrix` at every point of the stack."""
+    matrix = np.asarray(matrix, dtype=complex)
+    return lambda rho_u, rho_v: np.broadcast_to(matrix, rho_u.shape)
+
+
 class TestGFunctional:
     @pytest.mark.parametrize("name", sorted(BUILTIN_CANDIDATES))
     def test_density_candidate_two_homogeneous(self, rng, name):
         A = BUILTIN_CANDIDATES[name](EQUAL)
-        for _ in range(100):
-            x = haar_vector(rng, 2)
-            theta = rng.uniform(0, 2 * np.pi)
-            rotated = StateVector(np.exp(1j * theta) * x.amplitudes)
-            assert g_functional(A, rotated) == pytest.approx(
-                np.exp(2j * theta) * g_functional(A, x), abs=1e-9
-            )
+        xs = haar_stack(rng, 100)
+        theta = rng.uniform(0, 2 * np.pi, size=100)
+        rotated = np.exp(1j * theta)[:, None] * xs
+        np.testing.assert_allclose(
+            g_functional(A, rotated), np.exp(2j * theta) * g_functional(A, xs), rtol=0, atol=1e-9
+        )
 
     def test_orthogonal_constant_flagged(self):
         from supersim.errors import ZeroFunctionalError
 
-        def A(rho_u, rho_v):
-            return DensityOperator(np.diag([1.0, 0.0]).astype(complex))
-
+        A = constant_map(np.diag([1.0, 0.0]))
+        xs = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)
         # |0><0| sandwiched between |0> and its complement: g = 0, flagged
-        assert g_functional(A, basis_state(2, 0)) == 0.0
+        g = g_functional(A, xs)
+        assert g[0] == 0.0 and abs(g[1]) > 0.1
         with pytest.raises(ZeroFunctionalError):
-            g_normalized(A, basis_state(2, 0))
+            g_normalized(A, xs)
 
     def test_invalid_trace_rejected(self):
-        def A(rho_u, rho_v):
-            return DensityOperator(np.zeros((2, 2)))
+        xs = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+        nan_second = lambda rho_u, rho_v: np.stack([np.eye(2), np.full((2, 2), np.nan)])
+        for A in (constant_map(np.zeros((2, 2))), nan_second):
+            with pytest.raises(InvalidMapError):
+                g_functional(A, xs)
 
-        with pytest.raises(InvalidMapError):
-            g_functional(A, basis_state(2, 0))
+    def test_wrong_output_shape_rejected(self):
+        xs = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+        for out in (np.eye(2), np.eye(3)[None], DensityOperator(np.eye(2))):
+            with pytest.raises(InvalidMapError):
+                g_functional(lambda rho_u, rho_v: out, xs)
 
     def test_normalized_form_unit_modulus(self, rng):
         A = ideal_candidate(EQUAL)
-        x = haar_vector(rng, 2)
-        assert abs(g_normalized(A, x)) == pytest.approx(1.0)
+        np.testing.assert_allclose(np.abs(g_normalized(A, haar_stack(rng, 50))), 1.0)

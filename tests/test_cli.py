@@ -1,7 +1,9 @@
 import json
 
+import jsonschema
 import pytest
 
+from supersim import cli, superpose
 from supersim.cli import main
 from supersim.linalg import basis_state, save_state
 
@@ -107,6 +109,26 @@ class TestSuperpose:
         assert len(blocks) == 1 and blocks[0]["weight"] == 1.0
 
 
+    @pytest.mark.parametrize("extra", [[], ["--entangled", "--trials", "3"]])
+    def test_one_budget_search_per_op(self, capsys, states, monkeypatch, extra):
+        searches = []
+
+        def counted(*args):
+            searches.append(search(*args))
+            return searches[-1]
+
+        search = superpose._budget_schedules
+        monkeypatch.setattr(superpose, "_budget_schedules", counted)
+        code, out = run(
+            capsys, "superpose", "--u", states[0], "--v", states[1],
+            "--eps", "0.5", "--seed", "5", *extra,
+        )
+        assert code == 0
+        assert len(searches) == 1
+        budgets = json.loads(out)["results"]["budgets"]
+        assert (budgets["N"], budgets["M"]) == tuple(s.N for s in searches[0])
+
+
 class TestAudit:
     @pytest.mark.parametrize("candidate", ["ideal", "mollified", "constant"])
     def test_obstructed(self, capsys, candidate):
@@ -144,6 +166,26 @@ class TestDeterminism:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestParser:
+    def test_reused_parser_keeps_no_state(self):
+        parser = cli.build_parser()
+        first = parser.parse_args(["audit", "--candidate", "ideal", "--csv", "a.csv", "--seed", "3"])
+        second = parser.parse_args(["audit", "--candidate", "constant"])
+        assert (first.csv, first.seed) == ("a.csv", 3)
+        assert (second.candidate, second.csv, second.seed) == ("constant", None, 0)
+        assert cli.build_parser() is parser
+
+
+class TestReportSchema:
+    def test_invalid_report_still_raises(self, capsys):
+        bad = {"subcommand": "nope", "seed": 0, "results": {}}
+        for _ in range(2):  # the second call reuses the validator
+            with pytest.raises(jsonschema.ValidationError):
+                cli._emit_report(bad, None)
+        cli._emit_report({"subcommand": "probe", "seed": 0, "results": {}}, None)
+        assert json.loads(capsys.readouterr().out)["subcommand"] == "probe"
 
 
 class TestValidation:

@@ -109,8 +109,8 @@ class TestBudgets:
         assert t_m == pytest.approx(0.2 / (16 / np.sqrt(2)), rel=1e-12)
 
     def test_monotone_in_eps(self):
-        n1, m1 = copies_budget(EQUAL, 2, 0.5)
-        n2, m2 = copies_budget(EQUAL, 2, 0.1)
+        n1, m1 = (s.N for s in copies_budget(EQUAL, 2, 0.5))
+        n2, m2 = (s.N for s in copies_budget(EQUAL, 2, 0.1))
         assert n2 >= n1 and m2 >= m1
 
     def test_unreachable_raises(self):
