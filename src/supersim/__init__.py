@@ -29,7 +29,7 @@ from .superpose import (
     threshold,
     trace_floor,
 )
-from .tomo import StateOracle, calibrate_schedule, vector_tomography
+from .tomo import StateOracle, vector_tomography
 from .obstruction import obstruction_audit
 from .vecfun import canonical_vec, vec_i
 
@@ -41,7 +41,6 @@ __all__ = [
     "StateVector",
     "StateOracle",
     "SuperpositionSpec",
-    "calibrate_schedule",
     "canonical_vec",
     "copies_budget",
     "entangled_superposition",

@@ -50,7 +50,7 @@ from .superpose import (
     threshold,
     trace_floor,
 )
-from .tomo import StateOracle, calibrate_schedule, vector_tomography
+from .tomo import StateOracle, schedule_for, vector_tomography
 from .vecfun import canonical_vec, discontinuity_probe
 
 
@@ -110,7 +110,7 @@ def _write_csv(path: str, header: List[str], rows: List[tuple]) -> None:
 
 def _cmd_tomo(args) -> dict:
     rho = _load_density(args.state)
-    schedule = calibrate_schedule(rho.dim, args.shots)  # checks --shots in exact mode too
+    schedule = schedule_for(rho.dim, args.shots)  # checks --shots in exact mode too
     est = vector_tomography(StateOracle(rho), None if args.exact else schedule, args.seed)
     results = {
         "estimate": encode_complex(est.x.matrix),
@@ -142,17 +142,15 @@ def _cmd_superpose(args) -> dict:
         "trace_floor": trace_floor(spec, d),
     }
     t_n, t_m = budget_thresholds(spec, d, args.eps)  # checks eps in exact mode too
-    schedules = None
-    if not args.exact:
-        # One budget search: the run uses the schedules whose N and M are reported.
-        schedules = copies_budget(spec, d, args.eps)
+    # One budget search: the run uses the schedules whose N and M are reported.
+    schedules = None if args.exact else copies_budget(spec, d, args.eps)
+    if schedules is not None:
         results["budgets"] = {
             "N": schedules[0].N, "M": schedules[1].N, "target_N": t_n, "target_M": t_m,
         }
     if args.entangled:
         ent = entangled_superposition(
-            StateOracle(u), StateOracle(v), spec, args.eps, args.seed,
-            trials=args.trials, exact=args.exact, schedules=schedules,
+            StateOracle(u), StateOracle(v), spec, schedules, args.seed, trials=args.trials
         )
         results["blocks"] = [
             {
@@ -163,10 +161,7 @@ def _cmd_superpose(args) -> dict:
             for r, (w, state) in sorted(ent.blocks.items())
         ]
     else:
-        out = random_superposition(
-            StateOracle(u), StateOracle(v), spec, args.eps, args.seed,
-            exact=args.exact, schedules=schedules,
-        )
+        out = random_superposition(StateOracle(u), StateOracle(v), spec, schedules, args.seed)
         results["r"] = list(out.r)
         results["phi_r"] = out.phi_r
         results["state"] = encode_complex(out.state.matrix)
@@ -237,6 +232,8 @@ def _cmd_probe(args) -> dict:
 
 
 def _cmd_identities(args) -> dict:
+    if args.samples < 1:
+        raise ValidationError(f"need at least one sample, got {args.samples}")
     worst = {"teleport": 0.0, "conjugate_bra": 0.0, "orthogonality": 0.0}
     for i in range(args.samples):
         rng = seeding.rng_for(args.seed, seeding.STATE, i)
@@ -275,7 +272,7 @@ def _cmd_table1(args) -> dict:
             complex(rng.normal() + 1j * rng.normal()) or 1.0,
         )
         out = random_superposition(
-            StateOracle(u), StateOracle(v), spec, eps,
+            StateOracle(u), StateOracle(v), spec, copies_budget(spec, d, eps),
             seeding.child_seed(args.seed, seeding.TRIAL, run),
         )
         if superposition_error(out, u, v, spec) <= eps:

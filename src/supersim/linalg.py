@@ -111,10 +111,12 @@ class PureDensity(DensityOperator):
             raise ValidationError(f"not idempotent (defect {idem_defect:.2e})")
 
 
-def _derived(cls, matrix: np.ndarray):
-    """A `cls` around a matrix derived from validated values, left unchecked."""
+def _derived(cls, data: np.ndarray):
+    """A `cls` around amplitudes or a matrix derived from validated values,
+    left unchecked."""
     state = object.__new__(cls)
-    object.__setattr__(state, "matrix", _frozen(matrix))
+    field = "amplitudes" if cls is StateVector else "matrix"
+    object.__setattr__(state, field, _frozen(data))
     return state
 
 

@@ -38,6 +38,9 @@ from .superpose import SuperpositionSpec, threshold
 from .vecfun import canonical_vecs
 
 MIN_LOOP_SAMPLES = 8
+# Loop points a caller may ask for: each costs a few 2x2 matrices per stack.
+# Winding refinement may double past it; it is a bound on input, not on work.
+MAX_LOOP_SAMPLES = 2**16
 MAX_REFINEMENTS = 10
 MOLLIFY_BANDWIDTH = 0.05
 
@@ -134,6 +137,8 @@ def obstruction_audit(
     A: AMap, spec: SuperpositionSpec, x0: StateVector, n: int
 ) -> AuditReport:
     """Winding comparison plus worst-case error scan for one candidate."""
+    if n > MAX_LOOP_SAMPLES:
+        raise ValidationError(f"at most {MAX_LOOP_SAMPLES} samples, got {n}")
     g_vanished = False
     w_phase: Optional[int] = None
     w_const: Optional[int] = None

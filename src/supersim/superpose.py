@@ -8,6 +8,13 @@ the shot counts so the figure of merit stays below a requested error, and
 `figure_of_merit` scores any multi-outcome map against its per-index
 targets.
 
+The pipeline takes two `StateOracle`s and the two tomography schedules,
+either those `copies_budget` returns or None for noiseless tomography;
+nothing else restates that choice.  The oracles are the trust boundary.
+The vectors the pipeline derives from them (the estimates' vectors, the
+combined output, the targets) are built by `linalg._derived` and not
+checked again.
+
 The budget search prices every (shot count N, radius widening kappa) cell
 of a fixed grid in one numpy pass, with the arithmetic of `schedule_for`,
 and takes the smallest N whose best kappa meets the target.  The second
@@ -18,7 +25,7 @@ floating point), so one grid serves both stages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +43,7 @@ from .linalg import (
     DensityOperator,
     PureDensity,
     StateVector,
+    _derived,
     euclidean_distance,
     outer,
     trace_distance,
@@ -45,7 +53,7 @@ from .tomo import (
     MIN_SHOTS,
     StateOracle,
     TomographySchedule,
-    _as_oracle,
+    VectorEstimate,
     _oracle_density,
     eps_vec_from_eps_tr,
     schedule_for,
@@ -117,7 +125,7 @@ def target_superposition(
         raise DegenerateSuperpositionError(
             "coefficients cancel exactly; superposition is the zero vector"
         )
-    return outer(StateVector(w / norm))
+    return outer(_derived(StateVector, w / norm))
 
 
 def threshold(spec: SuperpositionSpec) -> float:
@@ -210,9 +218,9 @@ def copies_budget(
 ) -> Schedules:
     """Schedules of the two tomography stages at target error eps.
 
-    Their shot counts `N` are the copy budgets (N, M).  Passing them to
-    `random_superposition` or `entangled_superposition` as `schedules` runs
-    the pipeline on them without a second search.
+    Their shot counts `N` are the copy budgets (N, M).  They are the
+    `schedules` that `random_superposition` and `entangled_superposition`
+    run on.
     """
     return _budget_schedules(spec, d, eps)
 
@@ -237,14 +245,17 @@ def _implied_phase(
     return 0.0 if phi >= 2.0 * np.pi else phi  # mod can round up to the period
 
 
-def _check_vec_transfer(x: PureDensity, y: PureDensity, r_x: int) -> None:
-    # Close estimates must keep the same-index vectors close too.
-    dist = trace_distance(x, y)
+def _check_vec_transfer(est_x: VectorEstimate, est_y: VectorEstimate) -> None:
+    # Close estimates must keep the same-index vectors close too.  They are
+    # close exactly when `select_r_paired` gave y the index of x, so the two
+    # estimates' vectors are the same-index vectors.
+    x = est_x.x
+    dist = trace_distance(x, est_y.x)
     if dist >= 1.0 / (2 * x.dim):
         return
-    weight = x.matrix[r_x, r_x].real
+    weight = x.matrix[est_x.r, est_x.r].real
     bound = 2.0 / np.sqrt(weight) * np.sqrt(dist)
-    gap = euclidean_distance(vec_i(x, r_x), vec_i(y, r_x))
+    gap = euclidean_distance(est_x.v, est_y.v)
     if gap > min(bound, np.sqrt(2.0)) + 1e-9:
         raise InvariantViolation(
             f"vector gap {gap:.3e} exceeds transfer bound {bound:.3e}"
@@ -252,79 +263,59 @@ def _check_vec_transfer(x: PureDensity, y: PureDensity, r_x: int) -> None:
 
 
 def _combine(
-    x: PureDensity, y: PureDensity, r: IndexPair, spec: SuperpositionSpec, d: int
+    vx: StateVector, vy: StateVector, spec: SuperpositionSpec, d: int
 ) -> PureDensity:
-    w = (
-        abs(spec.alpha) * vec_i(x, r[0]).amplitudes
-        + abs(spec.beta) * vec_i(y, r[1]).amplitudes
-    )
+    """Renormalized |alpha| vx + |beta| vy, after the output-trace floor check."""
+    w = abs(spec.alpha) * vx.amplitudes + abs(spec.beta) * vy.amplitudes
     tr = float(np.linalg.norm(w) ** 2)
     floor = trace_floor(spec, d)
     if tr + 1e-12 < floor:
         raise InvariantViolation(f"output trace {tr:.3e} below floor {floor:.3e}")
-    return outer(StateVector(w / np.linalg.norm(w)))
-
-
-def _stage_schedules(
-    oracle_u: StateOracle,
-    oracle_v: StateOracle,
-    spec: SuperpositionSpec,
-    eps: float,
-    exact: bool,
-    schedules: Optional[Schedules],
-) -> Tuple[Optional[TomographySchedule], Optional[TomographySchedule]]:
-    d = oracle_u.dim
-    if oracle_v.dim != d:
-        raise DimensionMismatchError(f"dims {d} and {oracle_v.dim} differ")
-    if exact:
-        return None, None
-    return schedules if schedules is not None else _budget_schedules(spec, d, eps)
+    return outer(_derived(StateVector, w / np.linalg.norm(w)))
 
 
 def _run_pipeline(
     oracle_u: StateOracle,
     oracle_v: StateOracle,
     spec: SuperpositionSpec,
-    schedules: Tuple[Optional[TomographySchedule], Optional[TomographySchedule]],
+    schedules: Optional[Schedules],
     seed: int,
-) -> RandomSuperpositionOutcome:
-    """One run of both stages; schedules of None mean noiseless tomography."""
-    sched_n, sched_m = schedules
+) -> Tuple[VectorEstimate, VectorEstimate, PureDensity]:
+    """One run of both stages: the two estimates and the combined state."""
+    d = oracle_u.dim
+    if oracle_v.dim != d:
+        raise DimensionMismatchError(f"dims {d} and {oracle_v.dim} differ")
+    sched_n, sched_m = (None, None) if schedules is None else schedules
     est_x = vector_tomography(oracle_u, sched_n, seeding.child_seed(seed, seeding.RUN, 0))
     paired = est_x.x if spec.equal_magnitudes else None
     est_y = vector_tomography(
         oracle_v, sched_m, seeding.child_seed(seed, seeding.RUN, 1), paired_with=paired
     )
     if spec.equal_magnitudes:
-        _check_vec_transfer(est_x.x, est_y.x, est_x.r)
-    r = (est_x.r, est_y.r)
-    state = _combine(est_x.x, est_y.x, r, spec, oracle_u.dim)
-    return RandomSuperpositionOutcome(
-        r=r, state=state, phi_r=_implied_phase(est_x.x, est_y.x, r, spec)
-    )
+        _check_vec_transfer(est_x, est_y)
+    return est_x, est_y, _combine(est_x.v, est_y.v, spec, d)
 
 
 def random_superposition(
-    u: Union[PureDensity, StateOracle],
-    v: Union[PureDensity, StateOracle],
+    u: StateOracle,
+    v: StateOracle,
     spec: SuperpositionSpec,
-    eps: float,
+    schedules: Optional[Schedules],
     seed: int,
-    exact: bool = False,
-    schedules: Optional[Schedules] = None,
 ) -> RandomSuperpositionOutcome:
     """Superpose two unknown states, accessed through measurements only.
 
     Runs vector tomography on each input, combines the chosen column
     vectors with weights |alpha| and |beta|, and renormalizes.  The index
     pair r is random (it depends on the sampled estimates); the relative
-    phase of the output is whatever r implies.  In exact mode the sampling
-    noise is turned off and the budgets are skipped.  `schedules` from
-    `copies_budget(spec, d, eps)` spare the run its own budget search.
+    phase of the output is whatever r implies.  `schedules` are the pair
+    `copies_budget(spec, d, eps)` returns, or None for noiseless tomography.
     """
-    oracle_u, oracle_v = _as_oracle(u), _as_oracle(v)
-    schedules = _stage_schedules(oracle_u, oracle_v, spec, eps, exact, schedules)
-    return _run_pipeline(oracle_u, oracle_v, spec, schedules, seed)
+    est_x, est_y, state = _run_pipeline(u, v, spec, schedules, seed)
+    r = (est_x.r, est_y.r)
+    return RandomSuperpositionOutcome(
+        r=r, state=state, phi_r=_implied_phase(est_x.x, est_y.x, r, spec)
+    )
 
 
 def superposition_error(
@@ -340,38 +331,35 @@ def superposition_error(
 
 
 def entangled_superposition(
-    u: Union[PureDensity, StateOracle],
-    v: Union[PureDensity, StateOracle],
+    u: StateOracle,
+    v: StateOracle,
     spec: SuperpositionSpec,
-    eps: float,
+    schedules: Optional[Schedules],
     seed: int,
     trials: int,
-    exact: bool = False,
-    schedules: Optional[Schedules] = None,
 ) -> EntangledSuperposition:
     """Block mixture over index pairs with Monte-Carlo weights.
 
     Each trial runs the full pipeline on a fresh seed and contributes its
-    index pair; the trials share one budget search.  Block states are the
-    noiseless per-index outputs.  Exact mode is deterministic, so it
-    collapses to a single block.  `schedules` are as for
-    `random_superposition`.
+    index pair; the trials share the schedules.  Block states are the
+    noiseless per-index outputs.  Noiseless tomography (`schedules` None)
+    is deterministic, so it runs one trial and gives a single block.
+    `schedules` are as for `random_superposition`.
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
-    oracle_u, oracle_v = _as_oracle(u), _as_oracle(v)
-    truth_u, truth_v = _oracle_density(oracle_u), _oracle_density(oracle_v)
-    if exact:
+    truth_u, truth_v = _oracle_density(u), _oracle_density(v)
+    if schedules is None:
         trials = 1
-    schedules = _stage_schedules(oracle_u, oracle_v, spec, eps, exact, schedules)
     counts: Dict[IndexPair, int] = {}
     for t in range(trials):
-        out = _run_pipeline(
-            oracle_u, oracle_v, spec, schedules, seeding.child_seed(seed, seeding.TRIAL, t)
+        est_x, est_y, _ = _run_pipeline(
+            u, v, spec, schedules, seeding.child_seed(seed, seeding.TRIAL, t)
         )
-        counts[out.r] = counts.get(out.r, 0) + 1
+        r = (est_x.r, est_y.r)
+        counts[r] = counts.get(r, 0) + 1
     blocks = {
-        r: (c / trials, _combine(truth_u, truth_v, r, spec, truth_u.dim))
+        r: (c / trials, _combine(vec_i(truth_u, r[0]), vec_i(truth_v, r[1]), spec, truth_u.dim))
         for r, c in sorted(counts.items())
     }
     return EntangledSuperposition(blocks=blocks)

@@ -7,15 +7,17 @@ linearly to a Hermitian matrix, which is then purified to the dominant
 eigenvector.  Shot noise is multinomial per setting, drawn from named
 counter-based streams, so every result is a pure function of (inputs, seed).
 
-Counts travel as one int64 array with a row per setting, in setting order;
-the dimension cap is checked once, when a `StateOracle` is built.
+Counts travel as one int64 array with a row per setting, in setting order.
+A `StateOracle` is the only way in: the dimension cap is checked once, when
+one is built, and the state stays behind its measurements.  The estimate's
+vector is derived from the reconstruction and not checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -140,10 +142,6 @@ class StateOracle:
         )
 
 
-def _as_oracle(rho: Union[PureDensity, StateOracle]) -> StateOracle:
-    return rho if isinstance(rho, StateOracle) else StateOracle(rho)
-
-
 def reconstruct(counts: np.ndarray) -> PureDensity:
     """Least-squares inversion of the per-setting frequencies, then purification."""
     freqs = counts / counts.sum(axis=1, keepdims=True)
@@ -166,8 +164,9 @@ def eps_vec_from_eps_tr(d: int, eps_tr: float) -> float:
 
 
 def schedule_for(d: int, N: int, kappa: float = 1.0) -> TomographySchedule:
-    """Schedule from the shipped radius table, optionally trading a wider
-    trace radius (kappa > 1) for a smaller failure probability."""
+    """Schedule from the shipped radius table, at the calibrated failure
+    level DELTA_TR for kappa = 1, or trading a wider trace radius
+    (kappa > 1) for a smaller failure probability."""
     if not MIN_SHOTS <= N <= TABLE_MAX_N:
         raise ValidationError(f"shot count {N} outside [{MIN_SHOTS}, {TABLE_MAX_N:.0e}]")
     c = lookup_constant(d, N)
@@ -183,25 +182,20 @@ def schedule_for(d: int, N: int, kappa: float = 1.0) -> TomographySchedule:
     )
 
 
-def calibrate_schedule(d: int, N: int) -> TomographySchedule:
-    """Schedule at the calibrated 5% failure level."""
-    return schedule_for(d, N, kappa=1.0)
-
-
 def vector_tomography(
-    rho: Union[PureDensity, StateOracle],
+    oracle: StateOracle,
     schedule: Optional[TomographySchedule],
     seed: int,
     paired_with: Optional[PureDensity] = None,
 ) -> VectorEstimate:
-    """Estimate the state and emit the canonical vector for its own index.
+    """Estimate the oracle's state and emit the vector for its own index.
 
     A `schedule` of None means noiseless: the exact Born frequencies are
     inverted and `seed` is not used.  With `paired_with` (an earlier
     estimate), the index is reused from that estimate whenever the two are
     close; this keeps two estimates of nearly equal states phase-consistent.
+    The estimate's vector is `vec_i(x, r)`; later stages reuse it.
     """
-    oracle = _as_oracle(rho)
     if schedule is None:
         x = _reconstruct_from_frequencies(oracle.dim, oracle.exact_frequencies())
     else:

@@ -6,8 +6,9 @@ first column with nonvanishing weight (`canonical_vecs` does so for a
 whole stack of matrices at once), `vec_i` starts the column scan at an
 arbitrary index, and `select_r` / `select_r_paired` choose the scan index
 from the matrix itself so the chosen map is continuous near its input.
-`discontinuity_probe` exhibits the sign jump that rules out a single
-globally continuous choice.
+The vectors are derived from a validated matrix, so they are built by
+`linalg._derived` and not checked again.  `discontinuity_probe` exhibits
+the sign jump that rules out a single globally continuous choice.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import DimensionMismatchError, ValidationError
 from .linalg import (
     PureDensity,
     StateVector,
+    _derived,
     canonical_phase,
     euclidean_distance,
     outer,
@@ -43,7 +45,7 @@ def canonical_vec(rho: PureDensity) -> StateVector:
         if diag[i] > TOL.nonzero:
             v = _column_vec(rho, i)
             v = canonical_phase(v)
-            return StateVector(v / np.linalg.norm(v))
+            return _derived(StateVector, v / np.linalg.norm(v))
     raise ValidationError("no diagonal entry above threshold; corrupted input")
 
 
@@ -78,7 +80,7 @@ def vec_i(rho: PureDensity, i: int) -> StateVector:
         j = (i + step) % d
         if diag[j] > TOL.nonzero:
             v = _column_vec(rho, j)
-            return StateVector(v / np.linalg.norm(v))
+            return _derived(StateVector, v / np.linalg.norm(v))
     raise ValidationError("no diagonal entry above threshold; corrupted input")
 
 

@@ -32,6 +32,7 @@ from supersim.obstruction import (
 )
 from supersim.superpose import (
     SuperpositionSpec,
+    copies_budget,
     random_superposition,
     superposition_error,
     threshold,
@@ -39,8 +40,8 @@ from supersim.superpose import (
 )
 from supersim.tomo import (
     StateOracle,
-    calibrate_schedule,
     reconstruct,
+    schedule_for,
     vector_tomography,
 )
 from supersim.circuits import g_normalized
@@ -60,7 +61,7 @@ def tomography_runs():
     """Criterion-4 sampling campaign, reused by criterion 5."""
     runs = []
     for d in (2, 3):
-        schedule = calibrate_schedule(d, 10**5)
+        schedule = schedule_for(d, 10**5)
         for i in range(200):
             rng = seeding.rng_for(2026, seeding.STATE, d, i)
             truth = outer(StateVector(seeding.haar_state(rng, d)))
@@ -189,7 +190,7 @@ def test_criterion_7_random_superposition():
         u = outer(StateVector(seeding.haar_state(rng, d)))
         v = outer(StateVector(seeding.haar_state(rng, d)))
         spec = random_spec()
-        out = random_superposition(StateOracle(u), StateOracle(v), spec, 0.25, 100 + i, exact=True)
+        out = random_superposition(StateOracle(u), StateOracle(v), spec, None, 100 + i)
         exact_ok += superposition_error(out, u, v, spec) < 1e-9
 
     sampled_ok = 0
@@ -198,7 +199,9 @@ def test_criterion_7_random_superposition():
         u = outer(StateVector(seeding.haar_state(rng, d)))
         v = outer(StateVector(seeding.haar_state(rng, d)))
         spec = random_spec()
-        out = random_superposition(StateOracle(u), StateOracle(v), spec, 0.25, 500 + i)
+        out = random_superposition(
+            StateOracle(u), StateOracle(v), spec, copies_budget(spec, d, 0.25), 500 + i
+        )
         sampled_ok += superposition_error(out, u, v, spec) <= 0.25
     elapsed = time.time() - start
     report(
@@ -289,7 +292,7 @@ def test_criterion_12_calibration_between_dims():
     start = time.time()
     rates = {}
     for d in (5, 6, 7):
-        schedule = calibrate_schedule(d, 1000)
+        schedule = schedule_for(d, 1000)
         misses = 0
         for i in range(200):
             rng = seeding.rng_for(2027, seeding.STATE, d, i)

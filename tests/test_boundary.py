@@ -25,8 +25,9 @@ from supersim.linalg import (
     save_state,
     tensor,
 )
-from supersim.obstruction import BUILTIN_CANDIDATES
-from supersim.superpose import SuperpositionSpec
+from supersim.obstruction import BUILTIN_CANDIDATES, MAX_LOOP_SAMPLES
+from supersim.superpose import SuperpositionSpec, _combine, target_superposition
+from supersim.vecfun import canonical_vec, vec_i
 
 
 class TestNonFinite:
@@ -63,6 +64,23 @@ class TestDerivedValues:
             assert type(state) is cls
             assert not state.matrix.flags.writeable
             cls(state.matrix)
+
+    def test_derived_vectors_satisfy_public_constructors(self, rng):
+        spec = SuperpositionSpec(0.6, 0.8j)
+        for d in (2, 3, 5):
+            x, y = haar_density(rng, d), haar_density(rng, d)
+            vectors = [canonical_vec(x)] + [vec_i(x, i) for i in range(d)]
+            for v in vectors:
+                assert type(v) is StateVector
+                assert not v.amplitudes.flags.writeable
+                StateVector(v.amplitudes)
+            states = [
+                _combine(vec_i(x, 0), vec_i(y, d - 1), spec, d),
+                target_superposition(canonical_vec(x), canonical_vec(y), spec, 1.3),
+            ]
+            for state in states:
+                assert type(state) is PureDensity
+                PureDensity(state.matrix)
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_CANDIDATES))
     def test_builtin_candidate_outputs(self, name, rng):
@@ -144,6 +162,19 @@ class TestCliRejections:
 
     def test_table1_zero_runs(self, capsys):
         _expect_envelope(capsys, ["table1", "--runs", "0"])
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_identities_without_samples(self, capsys, samples):
+        error = _expect_envelope(capsys, ["identities", "--samples", samples])
+        assert "at least one sample" in error["message"]
+
+    def test_audit_samples_beyond_cap(self, capsys):
+        # Refused before any loop array is built; 10**12 points would not fit.
+        for samples in (MAX_LOOP_SAMPLES + 1, 10**12):
+            error = _expect_envelope(
+                capsys, ["audit", "--candidate", "ideal", "--samples", str(samples)]
+            )
+            assert str(MAX_LOOP_SAMPLES) in error["message"]
 
     def test_tomo_shots_beyond_table(self, tmp_path, capsys):
         path = tmp_path / "zero.json"

@@ -1,11 +1,12 @@
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
-from supersim import cli, superpose
+from supersim import cli, seeding, superpose
 from supersim.cli import main
-from supersim.linalg import basis_state, save_state
+from supersim.linalg import StateVector, basis_state, save_state
 
 
 @pytest.fixture
@@ -127,6 +128,54 @@ class TestSuperpose:
         assert len(searches) == 1
         budgets = json.loads(out)["results"]["budgets"]
         assert (budgets["N"], budgets["M"]) == tuple(s.N for s in searches[0])
+
+
+class TestValidatesOnce:
+    """One run validates the vectors of its state files and nothing else.
+
+    Vectors derived from them (estimates, outputs, targets) are built
+    unchecked, so the count does not grow with the trials of a run.
+    """
+
+    @pytest.fixture
+    def haar_files(self, tmp_path):
+        rng = np.random.default_rng(2026)
+        paths = []
+        for name in ("u", "v"):
+            path = tmp_path / f"{name}.json"
+            save_state(path, StateVector(seeding.haar_state(rng, 2)))
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            (["superpose"], 2),
+            (["superpose", "--alpha", "0.8,0", "--beta", "0.6,0"], 2),
+            (["superpose", "--exact"], 2),
+            (["superpose", "--entangled", "--trials", "5"], 2),
+            (["superpose", "--entangled", "--trials", "20"], 2),
+            (["superpose", "--entangled", "--exact"], 2),
+            (["tomo"], 1),
+        ],
+        ids=["equal", "unequal", "exact", "entangled5", "entangled20", "entangled_exact", "tomo"],
+    )
+    def test_state_vector_validations_per_run(
+        self, capsys, monkeypatch, haar_files, extra, expected
+    ):
+        calls = []
+        check = StateVector.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            check(self)
+
+        monkeypatch.setattr(StateVector, "__post_init__", counted)
+        u, v = haar_files
+        files = ["--state", u] if extra[0] == "tomo" else ["--u", u, "--v", v]
+        code, _ = run(capsys, *extra, *files, "--seed", "3")
+        assert code == 0
+        assert len(calls) == expected
 
 
 class TestAudit:

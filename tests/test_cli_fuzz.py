@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from supersim import seeding
 from supersim.cli import main
 from supersim.linalg import StateVector, basis_state, outer, save_state
+from supersim.obstruction import MAX_LOOP_SAMPLES
 
 _JUNK = st.sampled_from(["", "x", "1,2,3", "1e3", "0x10", "nan", "inf", "-inf", "--", "-"])
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True).map(repr)
@@ -90,7 +91,7 @@ def _argv_strategy(files):
         "audit": {
             "--candidate": st.sampled_from(["ideal", "mollified", "constant", "other"]),
             "--alpha": _COMPLEX, "--beta": _COMPLEX, "--x0": state,
-            "--samples": _ints(-2, 40), "--csv": out,
+            "--samples": _ints(-2, 40) | st.just(str(MAX_LOOP_SAMPLES + 1)), "--csv": out,
         },
         "probe": {"--eps": _reals(0.0, 1.0), "--csv": out},
         "identities": {"--samples": _ints(-2, 20)},

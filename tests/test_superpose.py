@@ -188,13 +188,13 @@ class TestBudgetGrid:
 class TestRandomSuperposition:
     def test_exact_orthogonal_basis(self):
         u, v = outer(basis_state(2, 0)), outer(basis_state(2, 1))
-        out = random_superposition(StateOracle(u), StateOracle(v), EQUAL, 0.25, 1, exact=True)
+        out = random_superposition(StateOracle(u), StateOracle(v), EQUAL, None, 1)
         assert out.r == (0, 1)
         assert np.allclose(out.state.matrix, np.full((2, 2), 0.5))
 
     def test_exact_same_state(self):
         u = outer(basis_state(2, 0))
-        out = random_superposition(StateOracle(u), StateOracle(u), EQUAL, 0.25, 1, exact=True)
+        out = random_superposition(StateOracle(u), StateOracle(u), EQUAL, None, 1)
         assert np.allclose(out.state.matrix, u.matrix)
 
     def test_exact_merit_vanishes(self, rng):
@@ -205,9 +205,7 @@ class TestRandomSuperposition:
                     complex(rng.normal(), rng.normal()) + 0.1,
                     complex(rng.normal(), rng.normal()) + 0.1,
                 )
-                out = random_superposition(
-                    StateOracle(u), StateOracle(v), spec, 0.25, 7, exact=True
-                )
+                out = random_superposition(StateOracle(u), StateOracle(v), spec, None, 7)
                 assert superposition_error(out, u, v, spec) < 1e-9
 
     def test_global_phase_invariance(self, rng):
@@ -215,19 +213,22 @@ class TestRandomSuperposition:
         u = outer(v_amp)
         rotated = outer(StateVector(np.exp(0.9j) * v_amp.amplitudes))
         w = haar_density(rng, 2)
-        a = random_superposition(StateOracle(u), StateOracle(w), EQUAL, 0.25, 11)
-        b = random_superposition(StateOracle(rotated), StateOracle(w), EQUAL, 0.25, 11)
+        schedules = copies_budget(EQUAL, 2, 0.25)
+        a = random_superposition(StateOracle(u), StateOracle(w), EQUAL, schedules, 11)
+        b = random_superposition(StateOracle(rotated), StateOracle(w), EQUAL, schedules, 11)
         assert a.r == b.r
         assert np.array_equal(a.state.matrix, b.state.matrix)
 
     def test_sampled_merit_small(self, rng):
         u, v = haar_density(rng, 2), haar_density(rng, 2)
-        out = random_superposition(StateOracle(u), StateOracle(v), EQUAL, 0.25, 13)
+        out = random_superposition(
+            StateOracle(u), StateOracle(v), EQUAL, copies_budget(EQUAL, 2, 0.25), 13
+        )
         assert superposition_error(out, u, v, EQUAL) <= 0.25
 
     def test_phi_in_range(self, rng):
         u, v = haar_density(rng, 3), haar_density(rng, 3)
-        out = random_superposition(StateOracle(u), StateOracle(v), EQUAL, 0.25, 3, exact=True)
+        out = random_superposition(StateOracle(u), StateOracle(v), EQUAL, None, 3)
         assert 0.0 <= out.phi_r < 2 * np.pi
 
 
@@ -235,7 +236,7 @@ class TestEntangled:
     def test_exact_single_block(self):
         u, v = outer(basis_state(2, 0)), outer(basis_state(2, 1))
         ent = entangled_superposition(
-            StateOracle(u), StateOracle(v), EQUAL, 0.25, 1, trials=5, exact=True
+            StateOracle(u), StateOracle(v), EQUAL, None, 1, trials=5
         )
         assert len(ent.blocks) == 1
         (r, (w, state)), = ent.blocks.items()
@@ -248,14 +249,14 @@ class TestEntangled:
         u = outer(StateVector(amps))
         v = outer(StateVector(amps.conj()))
         ent = entangled_superposition(
-            StateOracle(u), StateOracle(v), EQUAL, 1.5, 17, trials=40
+            StateOracle(u), StateOracle(v), EQUAL, copies_budget(EQUAL, d, 1.5), 17, trials=40
         )
         assert len(ent.blocks) >= 2
 
     def test_weights_sum_to_one(self, rng):
         u, v = haar_density(rng, 2), haar_density(rng, 2)
         ent = entangled_superposition(
-            StateOracle(u), StateOracle(v), EQUAL, 1.0, 5, trials=20
+            StateOracle(u), StateOracle(v), EQUAL, copies_budget(EQUAL, 2, 1.0), 5, trials=20
         )
         assert sum(w for w, _ in ent.blocks.values()) == pytest.approx(1.0)
 

@@ -12,7 +12,6 @@ from supersim.tomo import (
     _hermitian_basis,
     _inversion_operator,
     born_probabilities,
-    calibrate_schedule,
     eps_vec_from_eps_tr,
     reconstruct,
     schedule_for,
@@ -49,11 +48,11 @@ class TestSchedule:
     def test_eps_monotone_in_shots(self):
         shots = [100, 1000, 10**4, 10**5, 10**6, 10**8]
         for d in (2, 3):
-            radii = [calibrate_schedule(d, n).eps_tr for n in shots]
+            radii = [schedule_for(d, n).eps_tr for n in shots]
             assert all(a >= b for a, b in zip(radii, radii[1:]))
 
     def test_vec_radius_formula(self):
-        s = calibrate_schedule(2, 10**4)
+        s = schedule_for(2, 10**4)
         assert s.eps_vec == pytest.approx(eps_vec_from_eps_tr(2, s.eps_tr))
 
     def test_widening_shrinks_failure(self):
@@ -94,7 +93,7 @@ class TestReconstruct:
     def test_exact_frequencies_recover_state(self, rng):
         for d in (2, 3, 4):
             rho = haar_density(rng, d)
-            est = vector_tomography(rho, None, seed=0)
+            est = vector_tomography(StateOracle(rho), None, seed=0)
             assert trace_distance(est.x, rho) < 1e-9
 
     def test_error_shrinks_with_shots(self, rng):
@@ -124,26 +123,28 @@ def test_inversion_operator_matches_scalar_build(d):
 
 class TestGuarantee:
     def test_success_rate_d2(self, rng):
-        schedule = calibrate_schedule(2, 10**4)
+        schedule = schedule_for(2, 10**4)
         hits = 0
         for i in range(50):
             rho = haar_density(rng, 2)
-            est = vector_tomography(rho, schedule, seeding.child_seed(i, seeding.TRIAL, 0))
+            est = vector_tomography(
+                StateOracle(rho), schedule, seeding.child_seed(i, seeding.TRIAL, 0)
+            )
             err = np.linalg.norm(est.v.amplitudes - vec_i(rho, est.r).amplitudes)
             hits += err <= schedule.eps_vec
         assert hits / 50 >= 0.9
 
     def test_paired_estimate_keeps_index(self, rng):
         rho = haar_density(rng, 2)
-        schedule = calibrate_schedule(2, 10**5)
-        first = vector_tomography(rho, schedule, seed=1)
-        second = vector_tomography(rho, schedule, seed=2, paired_with=first.x)
+        schedule = schedule_for(2, 10**5)
+        first = vector_tomography(StateOracle(rho), schedule, seed=1)
+        second = vector_tomography(StateOracle(rho), schedule, seed=2, paired_with=first.x)
         assert second.r == first.r
 
     def test_vector_matches_truth_index(self, rng):
         rho = haar_density(rng, 3)
-        schedule = calibrate_schedule(3, 10**5)
-        est = vector_tomography(rho, schedule, seed=5)
+        schedule = schedule_for(3, 10**5)
+        est = vector_tomography(StateOracle(rho), schedule, seed=5)
         truth = vec_i(rho, est.r)
         assert np.linalg.norm(est.v.amplitudes - truth.amplitudes) <= schedule.eps_vec
 
