@@ -21,7 +21,7 @@ import jsonschema
 import numpy as np
 
 from . import seeding
-from .errors import SupersimError, ValidationError
+from .errors import DimensionMismatchError, SupersimError, ValidationError
 from .circuits import (
     conjugate_bra,
     orthogonal_complement,
@@ -135,6 +135,8 @@ def _cmd_tomo(args) -> dict:
 
 def _cmd_superpose(args) -> dict:
     u, v = _load_density(args.u), _load_density(args.v)
+    if u.dim != v.dim:  # before the budget search at u's dimension
+        raise DimensionMismatchError(f"dims {u.dim} and {v.dim} differ")
     spec = SuperpositionSpec(_parse_complex(args.alpha), _parse_complex(args.beta))
     d = u.dim
     results = {

@@ -123,10 +123,10 @@ def _best_phase_error(A: AMap, xs: np.ndarray, spec: SuperpositionSpec) -> np.nd
     cross = np.conj(spec.alpha) * spec.beta * (
         xs.conj()[:, None, :] @ rhos @ perps[:, :, None]
     )[:, 0, 0]
-    phi = np.where(np.abs(cross) > 1e-15, np.angle(cross), 0.0)
+    phi = np.where(np.abs(cross) > 1e-15 * spec.scale**2, np.angle(cross), 0.0)
     w = (spec.alpha * np.exp(1j * phi))[:, None] * xs + spec.beta * perps
     norms = row_norms(w)
-    if np.any(norms <= TOL.nonzero):
+    if np.any(norms <= TOL.nonzero * spec.scale):
         raise DegenerateSuperpositionError(
             "coefficients cancel exactly; superposition is the zero vector"
         )

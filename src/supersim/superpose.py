@@ -86,8 +86,14 @@ class SuperpositionSpec:
             )
 
     @property
+    def scale(self) -> float:
+        """sqrt(|alpha|^2 + |beta|^2), the unit of the coefficient tolerances
+        (not of the copy budget, which reads the absolute |beta|)."""
+        return (abs(self.alpha) ** 2 + abs(self.beta) ** 2) ** 0.5
+
+    @property
     def equal_magnitudes(self) -> bool:
-        return abs(abs(self.alpha) - abs(self.beta)) <= EQUAL_MAG_TOL
+        return abs(abs(self.alpha) - abs(self.beta)) <= EQUAL_MAG_TOL * self.scale
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,7 @@ def target_superposition(
         raise DimensionMismatchError(f"dims {u.dim} and {v.dim} differ")
     w = spec.alpha * np.exp(1j * phi) * u.amplitudes + spec.beta * v.amplitudes
     norm = np.linalg.norm(w)
-    if norm <= TOL.nonzero:
+    if norm <= TOL.nonzero * spec.scale:
         raise DegenerateSuperpositionError(
             "coefficients cancel exactly; superposition is the zero vector"
         )
@@ -269,7 +275,7 @@ def _combine(
     w = abs(spec.alpha) * vx.amplitudes + abs(spec.beta) * vy.amplitudes
     tr = float(np.linalg.norm(w) ** 2)
     floor = trace_floor(spec, d)
-    if tr + 1e-12 < floor:
+    if tr + 1e-12 * spec.scale**2 < floor:
         raise InvariantViolation(f"output trace {tr:.3e} below floor {floor:.3e}")
     return outer(_derived(StateVector, w / np.linalg.norm(w)))
 

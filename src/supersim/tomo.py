@@ -1,11 +1,13 @@
 """Simulated pure-state tomography.
 
 Measurement model: for dimension d, one computational-basis setting plus an
-X-type and a Y-type two-level rotation for every index pair (j, k).  The
-family is informationally complete, so empirical frequencies invert
-linearly to a Hermitian matrix, which is then purified to the dominant
-eigenvector.  Shot noise is multinomial per setting, drawn from named
-counter-based streams, so every result is a pure function of (inputs, seed).
+X-type and a Y-type two-level rotation for every index pair (j, k), given by
+those pairs alone: `_probabilities` is the closed-form Born rule of all of
+them.  The family is informationally complete; the inversion is the
+pseudoinverse of that same linear map, taking frequencies to Hermitian
+coordinates, and the matrix is then purified to its dominant eigenvector.
+Shot noise is multinomial per setting, drawn from named counter-based
+streams, so every result is a pure function of (inputs, seed).
 
 Counts travel as one int64 array with a row per setting, in setting order.
 A `StateOracle` is the only way in: the dimension cap is checked once, when
@@ -61,58 +63,56 @@ class VectorEstimate:
     v: StateVector
 
 
-@lru_cache(maxsize=None)
-def setting_bases(d: int) -> tuple:
-    """Orthonormal measurement bases: computational, then pairwise X/Y."""
-    bases = [np.eye(d, dtype=np.complex128)]
-    s = 1.0 / np.sqrt(2.0)
-    for j in range(d):
-        for k in range(j + 1, d):
-            for phase in (1.0, 1.0j):
-                b = np.eye(d, dtype=np.complex128)
-                b[j, j], b[k, j] = s, s * phase
-                b[j, k], b[k, k] = s, -s * phase
-                bases.append(b)
-    return tuple(bases)
-
-
 def setting_count(d: int) -> int:
-    return len(setting_bases(d))
-
-
-def born_probabilities(rho: PureDensity, basis: np.ndarray) -> np.ndarray:
-    p = np.einsum("ji,jk,ki->i", basis.conj(), rho.matrix, basis).real
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
+    return 1 + d * (d - 1)
 
 
 @lru_cache(maxsize=None)
-def _hermitian_basis(d: int) -> tuple:
-    ops = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=np.complex128)
-        e[i, i] = 1.0
-        ops.append(e)
-    for j in range(d):
-        for k in range(j + 1, d):
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[j, k] = e[k, j] = 1.0
-            ops.append(e)
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[j, k], e[k, j] = -1.0j, 1.0j
-            ops.append(e)
-    return tuple(ops)
+def _layout(d: int) -> tuple:
+    """Once per d: the pairs (j, k), j < k, in setting order, the entries their
+    settings move in `_probabilities`, and the entries `_from_coordinates` fills."""
+    i, (j, k) = np.arange(d), np.triu_indices(d, 1)
+    x = np.arange(1, setting_count(d), 2)  # X rows; each pair's Y row follows
+    moved = (np.concatenate((x, x, x + 1, x + 1)), np.concatenate((j, k, j, k)))
+    return j, k, moved, (np.concatenate((i, j, k)), np.concatenate((i, k, j)))
+
+
+# The rotations' entries are 1/sqrt(2), so the Born rule weighs each of j and
+# k by (1/sqrt(2))**2, which rounds to 0.5000000000000001, not to 0.5.
+_HALF = (1.0 / np.sqrt(2.0)) ** 2
+
+
+def _probabilities(matrix: np.ndarray) -> np.ndarray:
+    """Born probabilities (..., setting_count(d), d) of a Hermitian matrix or stack:
+    row 0 is the diagonal; rows 2q+1, 2q+2 rotate the q-th pair (j, k) with phase
+    1, i, giving outcomes j and k h*m_jj + h*m_kk +/- 2h*Re(phase*m_jk)."""
+    d = matrix.shape[-1]
+    j, k, moved, _ = _layout(d)
+    diag = matrix.diagonal(axis1=-2, axis2=-1).real
+    p = np.repeat(diag[..., None, :], setting_count(d), axis=-2)
+    mean = _HALF * diag[..., j] + _HALF * diag[..., k]
+    off = matrix[..., j, k]
+    re, im = 2 * _HALF * off.real, -2 * _HALF * off.imag
+    p[(...,) + moved] = np.concatenate((mean + re, mean - re, mean + im, mean - im), axis=-1)
+    return p
+
+
+def _from_coordinates(theta: np.ndarray, d: int) -> np.ndarray:
+    """Hermitian matrix (or stack) from its d*d coordinates in the last axis:
+    the diagonal, then x, y per pair (j, k) with m_jk = x - iy, m_kj = x + iy."""
+    x, y = theta[..., d::2], theta[..., d + 1::2]
+    values = np.concatenate((theta[..., :d], x - 1j * y, x + 1j * y), axis=-1)
+    mat = np.zeros(theta.shape[:-1] + (d, d), dtype=np.complex128)
+    # Added to zeros, as in a sum of basis matrices: a -0.0 part gives +0.0.
+    mat[(...,) + _layout(d)[3]] += values
+    return mat
 
 
 @lru_cache(maxsize=None)
 def _inversion_operator(d: int) -> np.ndarray:
-    """Pseudoinverse mapping stacked frequencies to Hermitian coordinates."""
-    # Row s*d + m holds <b|h|b> for the m-th vector b of setting s, for every h.
-    vecs = np.concatenate([basis.T for basis in setting_bases(d)])
-    rows = np.stack(
-        [(vecs.conj() @ h * vecs).sum(axis=1).real for h in _hermitian_basis(d)], axis=1
-    )
-    return np.linalg.pinv(rows)
+    """Pseudoinverse of the map from Hermitian coordinates to stacked probabilities."""
+    forward = _probabilities(_from_coordinates(np.eye(d * d), d))
+    return np.linalg.pinv(forward.reshape(d * d, -1).T)
 
 
 class StateOracle:
@@ -127,34 +127,25 @@ class StateOracle:
     def dim(self) -> int:
         return self.__rho.dim
 
+    def probabilities(self) -> np.ndarray:
+        """Born probabilities, one row per setting."""
+        return _probabilities(self.__rho.matrix)
+
     def sample(self, shots: int, seed: int, *path: int) -> np.ndarray:
         """Counts of `shots` draws per setting; row s from stream (seed, SETTING, s, *path)."""
+        p = np.clip(self.probabilities(), 0.0, None)
+        p /= p.sum(axis=1, keepdims=True)
         return np.stack([
-            seeding.rng_for(seed, seeding.SETTING, s, *path).multinomial(
-                shots, born_probabilities(self.__rho, basis)
-            )
-            for s, basis in enumerate(setting_bases(self.dim))
+            seeding.rng_for(seed, seeding.SETTING, s, *path).multinomial(shots, row)
+            for s, row in enumerate(p)
         ])
-
-    def exact_frequencies(self) -> np.ndarray:
-        return np.concatenate(
-            [born_probabilities(self.__rho, b) for b in setting_bases(self.dim)]
-        )
 
 
 def reconstruct(counts: np.ndarray) -> PureDensity:
-    """Least-squares inversion of the per-setting frequencies, then purification."""
+    """Least-squares inversion of row-normalized counts or probabilities, then purification."""
+    d = counts.shape[1]
     freqs = counts / counts.sum(axis=1, keepdims=True)
-    return _reconstruct_from_frequencies(counts.shape[1], freqs.reshape(-1))
-
-
-def _reconstruct_from_frequencies(d: int, freqs: np.ndarray) -> PureDensity:
-    theta = _inversion_operator(d) @ freqs
-    herm = _hermitian_basis(d)
-    mat = np.zeros((d, d), dtype=np.complex128)
-    for coeff, h in zip(theta, herm):
-        mat += coeff * h
-    return dominant_pure(mat)
+    return dominant_pure(_from_coordinates(_inversion_operator(d) @ freqs.reshape(-1), d))
 
 
 def eps_vec_from_eps_tr(d: int, eps_tr: float) -> float:
@@ -197,7 +188,7 @@ def vector_tomography(
     The estimate's vector is `vec_i(x, r)`; later stages reuse it.
     """
     if schedule is None:
-        x = _reconstruct_from_frequencies(oracle.dim, oracle.exact_frequencies())
+        x = reconstruct(oracle.probabilities())
     else:
         x = reconstruct(oracle.sample(schedule.N, seed))
     if paired_with is not None:

@@ -31,6 +31,7 @@ REPORTS = HERE / "reports"
 CASES: Dict[str, List[str]] = {
     "tomo_d2": ["tomo", "--state", "states/u2.json", "--shots", "1000", "--seed", "1"],
     "tomo_d8": ["tomo", "--state", "states/rho8.json", "--shots", "10000", "--seed", "2"],
+    "tomo_exact_d8": ["tomo", "--state", "states/rho8.json", "--exact"],
     "superpose_unequal": [
         "superpose", "--u", "states/u3.json", "--v", "states/v3.json",
         "--alpha", "0.8,0.1", "--beta", "0.3,-0.4", "--eps", "0.25", "--seed", "3",
@@ -39,6 +40,7 @@ CASES: Dict[str, List[str]] = {
         "superpose", "--u", "states/u2.json", "--v", "states/v2.json",
         "--entangled", "--trials", "10", "--seed", "4",
     ],
+    "superpose_exact": ["superpose", "--u", "states/u3.json", "--v", "states/v3.json", "--exact"],
     "audit_ideal": ["audit", "--candidate", "ideal", "--samples", "64", "--seed", "5"],
     "audit_mollified": [
         "audit", "--candidate", "mollified", "--samples", "64",

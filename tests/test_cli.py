@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -128,6 +129,80 @@ class TestSuperpose:
         assert len(searches) == 1
         budgets = json.loads(out)["results"]["budgets"]
         assert (budgets["N"], budgets["M"]) == tuple(s.N for s in searches[0])
+
+    def test_dimension_mismatch_refused_before_the_budget_search(
+        self, capsys, states, tmp_path, monkeypatch
+    ):
+        # At this eps a search at u's dimension alone would exceed the budget.
+        searches = []
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        search = superpose._budget_schedules
+        monkeypatch.setattr(superpose, "_budget_schedules", counted)
+        v3 = tmp_path / "v3.json"
+        save_state(v3, basis_state(3, 0))
+        code, out = run(
+            capsys, "superpose", "--u", states[0], "--v", str(v3), "--eps", "1e-6",
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "DimensionMismatchError"
+        assert searches == []
+
+
+def _scaled(pair, c):
+    return [f"{z.real * c!r},{z.imag * c!r}" for z in pair]
+
+
+class TestCoefficientScale:
+    """Scaling (alpha, beta) by one positive constant changes no outcome."""
+
+    SCALES = (1e-13, 1.0, 1e5)
+    PAIRS = ((0.8 + 0.1j, 0.3 - 0.4j), (0.6, 0.8j), (1.0, 1.0), (1.0, 1.0j))
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_exact_superpose(self, capsys, pair):
+        states = Path(__file__).parent / "golden" / "states"
+        results = []
+        for c in self.SCALES:
+            alpha, beta = _scaled(pair, c)
+            code, out = run(
+                capsys, "superpose", "--u", str(states / "u3.json"), "--v", str(states / "v3.json"),
+                "--exact", f"--alpha={alpha}", f"--beta={beta}",
+            )
+            assert code == 0, out
+            results.append(json.loads(out)["results"])
+        first = results[0]
+        for res in results[1:]:
+            assert res["r"] == first["r"]
+            assert res["phi_r"] == pytest.approx(first["phi_r"], abs=1e-12)
+            assert res["merit"] == pytest.approx(first["merit"], abs=1e-12)
+            assert np.allclose(res["state"], first["state"], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("candidate", ["ideal", "mollified", "constant"])
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_audit(self, capsys, candidate, pair):
+        reports = []
+        for c in self.SCALES:
+            alpha, beta = _scaled(pair, c)
+            code, out = run(
+                capsys, "audit", "--candidate", candidate, "--samples", "64",
+                f"--alpha={alpha}", f"--beta={beta}",
+            )
+            assert code == 0, out
+            reports.append(json.loads(out)["results"])
+        first = reports[0]
+        for res in reports[1:]:
+            assert res["max_error"] == pytest.approx(first["max_error"], abs=1e-12)
+            assert res["verdict"] == first["verdict"]
+
+    def test_near_equal_magnitudes_are_equal_at_any_scale(self):
+        for c in self.SCALES:
+            spec = superpose.SuperpositionSpec(c, c * (1 + 1e-13))
+            assert spec.equal_magnitudes
+            assert not superpose.SuperpositionSpec(c, c * (1 + 1e-11)).equal_magnitudes
 
 
 class TestValidatesOnce:

@@ -20,3 +20,7 @@ def test_report_matches_golden(name, tmp_path):
     code, text = regen.render_in_copy(regen.CASES[name], tmp_path)
     assert code == 0, text
     assert text.encode() == (regen.REPORTS / f"{name}.json").read_bytes()
+
+
+def test_every_report_has_a_case_and_every_case_a_report():
+    assert sorted(p.stem for p in regen.REPORTS.glob("*.json")) == sorted(regen.CASES)

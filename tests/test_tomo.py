@@ -4,40 +4,108 @@ import pytest
 from conftest import haar_density
 from supersim import seeding
 from supersim.errors import ValidationError
-from supersim.linalg import basis_state, outer, trace_distance
+from supersim.linalg import StateVector, basis_state, outer, trace_distance
 from supersim.tomo import (
     MAX_TOMO_DIM,
     StateOracle,
     TomographySchedule,
-    _hermitian_basis,
+    _from_coordinates,
     _inversion_operator,
-    born_probabilities,
+    _probabilities,
     eps_vec_from_eps_tr,
     reconstruct,
     schedule_for,
-    setting_bases,
     setting_count,
     vector_tomography,
 )
 from supersim.vecfun import vec_i
 
+# The measurement model written out in full: the dense setting unitaries, the
+# dense Hermitian basis of the coordinates, and the generic Born rule.  The
+# module describes the same family by index pairs; these are its reference.
+
+
+def _reference_bases(d):
+    bases = [np.eye(d, dtype=np.complex128)]
+    s = 1.0 / np.sqrt(2.0)
+    for j in range(d):
+        for k in range(j + 1, d):
+            for phase in (1.0, 1.0j):
+                b = np.eye(d, dtype=np.complex128)
+                b[j, j], b[k, j] = s, s * phase
+                b[j, k], b[k, k] = s, -s * phase
+                bases.append(b)
+    return bases
+
+
+def _reference_hermitian_basis(d):
+    ops = []
+    for i in range(d):
+        e = np.zeros((d, d), dtype=np.complex128)
+        e[i, i] = 1.0
+        ops.append(e)
+    for j in range(d):
+        for k in range(j + 1, d):
+            e = np.zeros((d, d), dtype=np.complex128)
+            e[j, k] = e[k, j] = 1.0
+            ops.append(e)
+            e = np.zeros((d, d), dtype=np.complex128)
+            e[j, k], e[k, j] = -1.0j, 1.0j
+            ops.append(e)
+    return ops
+
+
+def _reference_born(matrix, basis):
+    return np.einsum("ji,jk,ki->i", basis.conj(), matrix, basis).real
+
+
+def _reference_pvals(rho, basis):
+    # The sampler's multinomial weights: clipped at zero, renormalized.
+    p = np.clip(_reference_born(rho.matrix, basis), 0.0, None)
+    return p / p.sum()
+
+
+def _reference_states(rng, d):
+    uniform = StateVector(np.full(d, 1.0 / np.sqrt(d), dtype=np.complex128))
+    basis = [basis_state(d, i) for i in (0, d - 1)]
+    return [haar_density(rng, d) for _ in range(5)] + [outer(v) for v in basis + [uniform]]
+
 
 class TestSettings:
     def test_bases_orthonormal(self):
         for d in (2, 3, 4):
-            for basis in setting_bases(d):
+            for basis in _reference_bases(d):
                 assert np.allclose(basis.conj().T @ basis, np.eye(d), atol=1e-12)
 
     def test_setting_count(self):
         assert setting_count(2) == 3
         assert setting_count(3) == 7
         assert setting_count(4) == 13
+        for d in (2, 5, 16):
+            assert setting_count(d) == len(_reference_bases(d))
 
     def test_born_probabilities(self, rng):
-        rho = haar_density(rng, 3)
-        for basis in setting_bases(3):
-            p = born_probabilities(rho, basis)
-            assert np.all(p >= 0) and p.sum() == pytest.approx(1.0)
+        # The closed form rounds apart from the generic Born rule by at most
+        # one double epsilon (2.2e-16).
+        for d in (2, 3, 5, 8, 16):
+            for rho in _reference_states(rng, d):
+                p = _probabilities(rho.matrix)
+                ref = np.array([_reference_born(rho.matrix, b) for b in _reference_bases(d)])
+                assert p.shape == (setting_count(d), d)
+                assert np.max(np.abs(p - ref)) <= np.finfo(float).eps, d
+                assert np.all(p >= 0)
+                assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_from_coordinates_matches_the_accumulate_loop(self, rng, d):
+        for _ in range(10):
+            theta = rng.normal(size=d * d)
+            theta[rng.random(d * d) < 0.2] = 0.0
+            theta[rng.random(d * d) < 0.2] = -0.0
+            mat = np.zeros((d, d), dtype=np.complex128)
+            for coeff, h in zip(theta, _reference_hermitian_basis(d)):
+                mat += coeff * h
+            assert _from_coordinates(theta, d).tobytes() == mat.tobytes()
 
 
 class TestSchedule:
@@ -83,9 +151,9 @@ class TestSampling:
             counts = StateOracle(rho).sample(5000, 7)
             assert counts.shape == (setting_count(d), d)
             assert np.all(counts.sum(axis=1) == 5000)
-            for s, basis in enumerate(setting_bases(d)):
+            for s, basis in enumerate(_reference_bases(d)):
                 stream = seeding.rng_for(7, seeding.SETTING, s)
-                expected = stream.multinomial(5000, born_probabilities(rho, basis))
+                expected = stream.multinomial(5000, _reference_pvals(rho, basis))
                 assert np.array_equal(counts[s], expected), (d, s)
 
 
@@ -106,19 +174,35 @@ class TestReconstruct:
 
 
 def _reference_rows(d):
-    # The scalar row build the stacked one replaced, kept as the reference.
-    herm = _hermitian_basis(d)
+    # The scalar row build, kept as the reference: row s*d + m, column c is
+    # the Born rule of setting s, outcome m, on the c-th dense basis matrix.
+    herm = _reference_hermitian_basis(d)
     rows = []
-    for basis in setting_bases(d):
+    for basis in _reference_bases(d):
         for m in range(d):
             b = basis[:, m]
             rows.append([np.real(b.conj() @ h @ b) for h in herm])
     return np.array(rows)
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def _stacked_reference_rows(d):
+    # The same rows, one stacked product per setting: the scalar build takes
+    # seconds at d = 16.
+    herm = np.stack(_reference_hermitian_basis(d))
+    return np.concatenate([
+        (basis.conj() * (herm @ basis)).sum(axis=1).real.T for basis in _reference_bases(d)
+    ])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_stacked_reference_rows_match_scalar_build(d):
+    assert np.array_equal(_stacked_reference_rows(d), _reference_rows(d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
 def test_inversion_operator_matches_scalar_build(d):
-    assert np.array_equal(_inversion_operator(d), np.linalg.pinv(_reference_rows(d)))
+    rows = _stacked_reference_rows(d) if d == 16 else _reference_rows(d)
+    assert np.array_equal(_inversion_operator(d), np.linalg.pinv(rows))
 
 
 class TestGuarantee:
