@@ -53,16 +53,25 @@ def _dim_entry(d: int) -> dict:
     return dims[str(chosen)]
 
 
+@lru_cache(maxsize=None)
+def _dim_constants(d: int) -> tuple:
+    """(shot counts, constants, tail exponent) of d's table entry, parsed once."""
+    entry = _dim_entry(d)
+    cells = np.array(entry["cells"])
+    cells.setflags(write=False)
+    return cells[:, 0], cells[:, 1], float(entry["tail"])
+
+
 def lookup_constant(d: int, N):
     """Radius constant for the largest calibrated shot count <= N, or for the
     smallest one when N is below them all; elementwise for an array of N."""
-    cells = np.array(_dim_entry(d)["cells"])
-    c = cells[np.maximum(np.searchsorted(cells[:, 0], N, side="right") - 1, 0), 1]
+    shots, constants, _ = _dim_constants(d)
+    c = constants[np.maximum(np.searchsorted(shots, N, side="right") - 1, 0)]
     return float(c) if np.ndim(N) == 0 else c
 
 
 def tail_exponent(d: int) -> float:
-    return float(_dim_entry(d)["tail"])
+    return _dim_constants(d)[2]
 
 
 def build_table(
@@ -110,6 +119,7 @@ def build_table(
         path = Path(__file__).parent / "data" / TABLE_FILE
     path.write_text(json.dumps(table, indent=2, sort_keys=True))
     _table.cache_clear()
+    _dim_constants.cache_clear()
     return table
 
 

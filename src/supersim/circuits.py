@@ -41,7 +41,6 @@ from .linalg import (
 )
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 # A single-outcome candidate map, evaluated on stacks: the (n, 2, 2) input
 # densities and the (n, 2, 2) densities of their complements give the

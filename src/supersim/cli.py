@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-One command, six subcommands, one seed.  Every run either writes a
-schema-validated JSON report and exits 0, or prints a JSON error object
-and exits 2 (bad input) / 1 (runtime failure).  Reports are byte-stable
-for a fixed (arguments, seed) pair.
+One command, six subcommands, one seed.  Every run either writes a JSON
+report and exits 0, or prints a JSON error object and exits 2 (bad input)
+/ 1 (runtime failure).  Reports are byte-stable for a fixed (arguments,
+seed) pair.  `data/report.schema.json` is their published contract; the
+test suite checks reports against it, and a run does not check its own.
 """
 
 from __future__ import annotations
@@ -14,15 +15,18 @@ import dataclasses
 import functools
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import List, Optional
 
-import jsonschema
 import numpy as np
 
 from . import seeding
-from .errors import DimensionMismatchError, SupersimError, ValidationError
+from .errors import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    SupersimError,
+    ValidationError,
+)
 from .circuits import (
     conjugate_bra,
     orthogonal_complement,
@@ -80,22 +84,7 @@ def _load_density(path: str) -> PureDensity:
     return PureDensity(state.matrix / state.trace)
 
 
-@functools.lru_cache(maxsize=1)
-def _report_validator():
-    """The report schema's validator, built (and the schema checked) once."""
-    schema = json.loads(
-        resources.files("supersim.data").joinpath("report.schema.json").read_text()
-    )
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
 def _emit_report(report: dict, out: Optional[str]) -> None:
-    # What `jsonschema.validate` raises, without rebuilding the validator.
-    error = jsonschema.exceptions.best_match(_report_validator().iter_errors(report))
-    if error is not None:
-        raise error
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
         Path(out).write_text(text)
@@ -254,6 +243,23 @@ def _cmd_identities(args) -> dict:
     }
 
 
+def _table1_coefficients(rng, d: int, eps: float):
+    """A run's coefficient pair and its copy budget, drawn from the run's stream.
+
+    Nearly equal magnitudes can ask for more shots than the table holds; such
+    a pair is drawn again from the same stream until the budget exists.
+    """
+    while True:
+        spec = SuperpositionSpec(
+            complex(rng.normal() + 1j * rng.normal()) or 1.0,
+            complex(rng.normal() + 1j * rng.normal()) or 1.0,
+        )
+        try:
+            return spec, copies_budget(spec, d, eps)
+        except BudgetExceededError:
+            continue
+
+
 def _cmd_table1(args) -> dict:
     """Random superposition is achievable while plain superposition is not."""
     eps = 0.25
@@ -265,12 +271,9 @@ def _cmd_table1(args) -> dict:
         rng = seeding.rng_for(args.seed, seeding.RUN, run)
         u = outer(StateVector(seeding.haar_state(rng, d)))
         v = outer(StateVector(seeding.haar_state(rng, d)))
-        spec = SuperpositionSpec(
-            complex(rng.normal() + 1j * rng.normal()) or 1.0,
-            complex(rng.normal() + 1j * rng.normal()) or 1.0,
-        )
+        spec, schedules = _table1_coefficients(rng, d, eps)
         out = random_superposition(
-            StateOracle(u), StateOracle(v), spec, copies_budget(spec, d, eps),
+            StateOracle(u), StateOracle(v), spec, schedules,
             seeding.child_seed(args.seed, seeding.TRIAL, run),
         )
         if superposition_error(out, u, v, spec) <= eps:
@@ -383,16 +386,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     except SystemExit as exc:  # --help printed the usage
         return int(exc.code or 0)
-    except ValidationError as exc:
-        sys.stdout.write(
-            json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n"
-        )
-        return 2
     except (SupersimError, OSError) as exc:
         sys.stdout.write(
             json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n"
         )
-        return 1
+        return 2 if isinstance(exc, ValidationError) else 1
 
 
 if __name__ == "__main__":

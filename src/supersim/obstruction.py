@@ -155,7 +155,7 @@ def obstruction_audit(
 
 # --- built-in candidates -------------------------------------------------
 
-def ideal_candidate(spec: SuperpositionSpec, phi: float = 0.0) -> AMap:
+def ideal_candidate(spec: SuperpositionSpec) -> AMap:
     """Pointwise-perfect superposer of the two canonical vectors.
 
     Perfect on every input pair, yet built from density matrices only, so
@@ -163,16 +163,12 @@ def ideal_candidate(spec: SuperpositionSpec, phi: float = 0.0) -> AMap:
     """
 
     def A(rho_u: np.ndarray, rho_v: np.ndarray) -> np.ndarray:
-        w = (
-            spec.alpha * np.exp(1j * phi) * canonical_vecs(rho_u)
-            + spec.beta * canonical_vecs(rho_v)
-        )
-        return outers(w)
+        return outers(spec.alpha * canonical_vecs(rho_u) + spec.beta * canonical_vecs(rho_v))
 
     return A
 
 
-def mollified_candidate(spec: SuperpositionSpec, bandwidth: float = MOLLIFY_BANDWIDTH) -> AMap:
+def mollified_candidate(spec: SuperpositionSpec) -> AMap:
     """Continuous surrogate: first columns with the 1/sqrt weight clamped.
 
     Smoothing the canonical-vector discontinuity trades it for large error
@@ -186,7 +182,7 @@ def mollified_candidate(spec: SuperpositionSpec, bandwidth: float = MOLLIFY_BAND
 
     def mvecs(rhos: np.ndarray) -> np.ndarray:
         w00 = np.sqrt(np.maximum(rhos[:, 0, 0].real, 0.0))
-        return rhos[:, :, 0] / np.maximum(w00, bandwidth)[:, None]
+        return rhos[:, :, 0] / np.maximum(w00, MOLLIFY_BANDWIDTH)[:, None]
 
     def A(rho_u: np.ndarray, rho_v: np.ndarray) -> np.ndarray:
         return outers(spec.alpha * mvecs(rho_u) + spec.beta * mvecs(rho_v))

@@ -1,12 +1,12 @@
 """Approximate superposition of unknown states via tomography.
 
 The pipeline estimates both input states from measurement statistics alone,
-forms the weighted sum of their canonical column vectors, and renormalizes.
-The relative phase of the output is not controlled: it is set by a random
-column-index pair r, reported alongside the state.  `copies_budget` sizes
-the shot counts so the figure of merit stays below a requested error, and
-`figure_of_merit` scores any multi-outcome map against its per-index
-targets.
+forms the weighted sum of their column vectors vec_i(x, r) at a random
+column-index pair r, and renormalizes.  The relative phase of the output is
+not controlled: r sets it, and both are reported alongside the state.
+`copies_budget` sizes the shot counts so the figure of merit stays below a
+requested error, and `figure_of_merit` scores any multi-outcome map against
+its per-index targets.
 
 The pipeline takes two `StateOracle`s and the two tomography schedules,
 either those `copies_budget` returns or None for noiseless tomography;

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+from conftest import check_report, report_schema
 from supersim import cli, seeding, superpose
 from supersim.cli import main
 from supersim.linalg import StateVector, basis_state, save_state
@@ -19,8 +23,12 @@ def states(tmp_path):
 
 
 def run(capsys, *argv):
+    """Exit code and stdout of one CLI run; a report on stdout must meet the schema."""
     code = main(list(argv))
-    return code, capsys.readouterr().out
+    out = capsys.readouterr().out
+    if code == 0 and out:
+        check_report(json.loads(out))
+    return code, out
 
 
 class TestProbe:
@@ -57,7 +65,7 @@ class TestTomo:
             "--seed", "3", "--out", str(out_path),
         )
         assert code == 0
-        report = json.loads(out_path.read_text())
+        report = check_report(json.loads(out_path.read_text()))
         assert report["results"]["schedule"]["N"] == 1000
 
     def test_exact_report_omits_the_schedule(self, capsys, states):
@@ -279,6 +287,32 @@ class TestTable1:
         assert checks["random_superposition_achievable"]
         assert checks["plain_superposition_obstructed"]
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_seed_finds_a_budget(self, capsys, seed):
+        # Seeds 3 and 7 draw a pair of nearly equal magnitudes (relative gaps
+        # 0.0084 and 0.0049) whose budget the table cannot reach.
+        code, out = run(capsys, "table1", "--seed", str(seed), "--runs", "10")
+        assert code == 0, out
+
+    def test_a_refused_pair_is_drawn_again(self, monkeypatch):
+        budget = cli.copies_budget
+        refused = []
+
+        def refuse_first(spec, d, eps):
+            if not refused:
+                refused.append(spec)
+                raise cli.BudgetExceededError("refused")
+            return budget(spec, d, eps)
+
+        monkeypatch.setattr(cli, "copies_budget", refuse_first)
+        rng = np.random.default_rng(5)
+        spec, schedules = cli._table1_coefficients(rng, 2, 0.25)
+        replay = np.random.default_rng(5)
+        assert refused[0].alpha == complex(replay.normal() + 1j * replay.normal())
+        replay.normal(size=2)
+        assert spec.alpha == complex(replay.normal() + 1j * replay.normal())
+        assert schedules == budget(spec, 2, 0.25)
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, capsys, states):
@@ -290,6 +324,7 @@ class TestDeterminism:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+        check_report(json.loads(paths[0].read_text()))
 
 
 class TestParser:
@@ -303,13 +338,55 @@ class TestParser:
 
 
 class TestReportSchema:
-    def test_invalid_report_still_raises(self, capsys):
-        bad = {"subcommand": "nope", "seed": 0, "results": {}}
-        for _ in range(2):  # the second call reuses the validator
-            with pytest.raises(jsonschema.ValidationError):
-                cli._emit_report(bad, None)
-        cli._emit_report({"subcommand": "probe", "seed": 0, "results": {}}, None)
-        assert json.loads(capsys.readouterr().out)["subcommand"] == "probe"
+    """The schema is the reports' published contract; the tests enforce it, not the CLI."""
+
+    def test_schema_is_a_valid_schema(self):
+        schema = report_schema()
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            {"subcommand": "nope", "seed": 0, "results": {}},
+            {"subcommand": "probe", "seed": 0},
+            {"subcommand": "probe", "seed": 0, "results": {}, "extra": 1},
+            {"subcommand": "probe", "seed": 0, "results": {}, "checks": [{"name": "x"}]},
+        ],
+        ids=["subcommand", "no_results", "extra_key", "check_without_passed"],
+    )
+    def test_helper_rejects_a_bad_report(self, report):
+        with pytest.raises(jsonschema.ValidationError):
+            check_report(report)
+
+    def test_emit_writes_sorted_indented_json(self, capsys, tmp_path):
+        report = {"subcommand": "probe", "seed": 0, "results": {"gap": 2.0}}
+        expected = (
+            '{\n  "results": {\n    "gap": 2.0\n  },\n  "seed": 0,\n  "subcommand": "probe"\n}\n'
+        )
+        cli._emit_report(report, None)
+        assert capsys.readouterr().out == expected
+        cli._emit_report(report, str(tmp_path / "r.json"))
+        assert (tmp_path / "r.json").read_bytes() == expected.encode()
+
+
+class TestRuntimeDependencies:
+    def test_cli_runs_without_jsonschema(self):
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import contextlib, io, sys\n"
+            "from supersim import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['probe']) == 0\n"
+            "print(cli.__file__)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        path, loaded = proc.stdout.splitlines()
+        assert Path(path) == root / "src" / "supersim" / "cli.py"
+        assert loaded == "[]"
 
 
 class TestValidation:

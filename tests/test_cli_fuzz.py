@@ -3,6 +3,7 @@
 Whatever the subcommand, flags, values or state-file contents, `main` must
 return 0, 1 or 2 and leave one strict JSON document (a report or the error
 envelope) on stdout, or in the `--out` file for a report written there.
+Every report meets the published report schema.
 Work-size flags stay small so each example runs in milliseconds.
 """
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import check_report
 from supersim import seeding
 from supersim.cli import main
 from supersim.linalg import StateVector, basis_state, outer, save_state
@@ -143,6 +145,8 @@ def test_any_argv_exits_cleanly_with_json(files):
             Path(out).unlink()
         payload = _strict_json(text)
         assert ("error" in payload) == (code != 0)
+        if code == 0:
+            check_report(payload)
 
     # A junk token can land where a path belongs; keep what it names in the temp dir.
     cwd = os.getcwd()

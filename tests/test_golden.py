@@ -1,12 +1,15 @@
-"""Committed CLI reports must be reproduced byte for byte.
+"""Committed CLI reports must be reproduced byte for byte, and meet the schema.
 
 The cases and the regenerator live in `tests/golden/regen.py`.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+from conftest import check_report
 
 _spec = importlib.util.spec_from_file_location(
     "golden_regen", Path(__file__).parent / "golden" / "regen.py"
@@ -20,6 +23,7 @@ def test_report_matches_golden(name, tmp_path):
     code, text = regen.render_in_copy(regen.CASES[name], tmp_path)
     assert code == 0, text
     assert text.encode() == (regen.REPORTS / f"{name}.json").read_bytes()
+    check_report(json.loads(text))
 
 
 def test_every_report_has_a_case_and_every_case_a_report():
