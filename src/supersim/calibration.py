@@ -97,13 +97,14 @@ def build_table(
         scaled_errors = []  # per cell: errors normalized by the final radius
         cells = []
         for cell_idx, n_shots in enumerate(CAL_GRID):
-            errors = np.empty(states)
+            rhos, counts = [], []
             for i in range(states):
                 rng = seeding.rng_for(seed, seeding.STATE, d, cell_idx, i)
                 rho = outer(StateVector(seeding.haar_state(rng, d)))
                 trial_seed = seeding.child_seed(seed, seeding.TRIAL, d, cell_idx, i)
-                est = reconstruct(StateOracle(rho).sample(n_shots, trial_seed))
-                errors[i] = trace_distance(est, rho)
+                rhos.append(rho.matrix)
+                counts.append(StateOracle(rho).sample(n_shots, trial_seed))
+            errors = trace_distance(reconstruct(np.stack(counts)), np.stack(rhos))
             c = _bisect_constant(errors, d, n_shots) * INFLATION
             cells.append([n_shots, c])
             scaled_errors.append(errors / (c * d / np.sqrt(n_shots)))

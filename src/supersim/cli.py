@@ -100,13 +100,13 @@ def _write_csv(path: str, header: List[str], rows: List[tuple]) -> None:
 
 
 def _cmd_tomo(args) -> dict:
-    rho = _load_density(args.state)
-    schedule = schedule_for(rho.dim, args.shots)  # checks --shots in exact mode too
-    est = vector_tomography(StateOracle(rho), None if args.exact else schedule, args.seed)
+    oracle = StateOracle(_load_density(args.state))
+    schedule = schedule_for(oracle.dim, args.shots)  # checks --shots in exact mode too
+    est = vector_tomography(oracle, None if args.exact else schedule, [args.seed])
     results = {
-        "estimate": encode_complex(est.x.matrix),
-        "r": est.r,
-        "vector": encode_complex(est.v.amplitudes),
+        "estimate": encode_complex(est.x[0]),
+        "r": int(est.r[0]),
+        "vector": encode_complex(est.v[0]),
     }
     if not args.exact:
         results["schedule"] = dataclasses.asdict(schedule)
@@ -120,6 +120,7 @@ def _cmd_tomo(args) -> dict:
 
 def _cmd_superpose(args) -> dict:
     u, v = _load_density(args.u), _load_density(args.v)
+    oracle_u, oracle_v = StateOracle(u), StateOracle(v)  # the cap, before the budget search
     if u.dim != v.dim:  # before the budget search at u's dimension
         raise DimensionMismatchError(f"dims {u.dim} and {v.dim} differ")
     spec = SuperpositionSpec(_parse_complex(args.alpha), _parse_complex(args.beta))
@@ -137,7 +138,7 @@ def _cmd_superpose(args) -> dict:
         }
     if args.entangled:
         ent = entangled_superposition(
-            StateOracle(u), StateOracle(v), spec, schedules, args.seed, trials=args.trials
+            oracle_u, oracle_v, spec, schedules, args.seed, trials=args.trials
         )
         results["blocks"] = [
             {
@@ -148,7 +149,7 @@ def _cmd_superpose(args) -> dict:
             for r, (w, state) in sorted(ent.blocks.items())
         ]
     else:
-        out = random_superposition(StateOracle(u), StateOracle(v), spec, schedules, args.seed)
+        out = random_superposition(oracle_u, oracle_v, spec, schedules, args.seed)
         results["r"] = list(out.r)
         results["phi_r"] = out.phi_r
         results["state"] = encode_complex(out.state.matrix)
@@ -172,7 +173,7 @@ def _cmd_audit(args) -> dict:
     spec = SuperpositionSpec(_parse_complex(args.alpha), _parse_complex(args.beta))
     candidate = BUILTIN_CANDIDATES[args.candidate](spec)
     if args.x0:
-        x0 = canonical_vec(_load_density(args.x0))
+        x0 = StateVector(canonical_vec(_load_density(args.x0).matrix))
     else:
         x0 = basis_state(2, 0)
     report = obstruction_audit(candidate, spec, x0, args.samples)

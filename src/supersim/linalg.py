@@ -8,10 +8,14 @@ Conventions fixed here and relied on everywhere else:
   significant;
 * all values are immutable after construction and all operations are pure;
 * invariants are checked once, at the trust boundary: the public
-  constructors and `load_state` validate, while values the package derives
+  constructors and `load_state` validate, while matrices the package derives
   from validated values are built by `_derived` and not re-checked;
-* a `StateVector` is always a unit vector; raw contractions that are not
-  states stay plain complex arrays.
+* a `StateVector` is always a unit vector; derived vectors and raw
+  contractions stay plain complex arrays;
+* the kernels estimates pass through (`dominant_pure`, `trace_distance`,
+  `canonical_phase`, `row_norms`, `outers`) take a stack, one matrix or
+  vector per row of the leading axes, and a single one is a stack with no
+  leading axes.  Each row gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -111,12 +115,10 @@ class PureDensity(DensityOperator):
             raise ValidationError(f"not idempotent (defect {idem_defect:.2e})")
 
 
-def _derived(cls, data: np.ndarray):
-    """A `cls` around amplitudes or a matrix derived from validated values,
-    left unchecked."""
+def _derived(cls, matrix: np.ndarray):
+    """A density `cls` around a matrix derived from validated values, left unchecked."""
     state = object.__new__(cls)
-    field = "amplitudes" if cls is StateVector else "matrix"
-    object.__setattr__(state, field, _frozen(data))
+    object.__setattr__(state, "matrix", _frozen(matrix))
     return state
 
 
@@ -127,12 +129,12 @@ def outer(psi: StateVector) -> PureDensity:
 
 
 def outers(kets: np.ndarray) -> np.ndarray:
-    """|k><k| for every row of an (n, d) stack of kets: an (n, d, d) stack."""
-    return kets[:, :, None] * kets.conj()[:, None, :]
+    """|k><k| for every row of a (..., d) stack of kets: a (..., d, d) stack."""
+    return kets[..., :, None] * kets.conj()[..., None, :]
 
 
 def row_norms(kets: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row of an (n, d) stack.
+    """Euclidean norm of every row of a (..., d) stack.
 
     Sums the squares as `np.linalg.norm` does on one vector (real parts,
     then imaginary parts, each by a dot product), so a row's norm has the
@@ -141,35 +143,16 @@ def row_norms(kets: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(kets.real, kets.real) + np.vecdot(kets.imag, kets.imag))
 
 
-def _require_same_dim(a, b) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dims {a.dim} and {b.dim} differ")
-
-
-def trace_distance(
-    a: Union[DensityOperator, np.ndarray], b: Union[DensityOperator, np.ndarray]
-) -> Union[float, np.ndarray]:
-    """Sum of singular values of a-b (orthogonal pure states -> 2).
+def trace_distance(a: np.ndarray, b: np.ndarray) -> Union[float, np.ndarray]:
+    """Sum of singular values of a-b (orthogonal pure states -> 2), for two
+    Hermitian matrices, or pairwise for two (..., d, d) stacks of them.
 
     The difference of Hermitian matrices is Hermitian, so singular values
-    come from an eigendecomposition rather than a general SVD.  Given two
-    (n, d, d) stacks of Hermitian matrices instead of two operators, it
-    returns the n distances of the pairs.
+    come from an eigendecomposition rather than a general SVD.
     """
-    stacked = isinstance(a, np.ndarray)
-    if stacked:
-        if a.shape != b.shape:
-            raise DimensionMismatchError(f"stack shapes {a.shape} and {b.shape} differ")
-    else:
-        _require_same_dim(a, b)
-        a, b = a.matrix, b.matrix
-    dist = np.sum(np.abs(np.linalg.eigvalsh(a - b)), axis=-1)
-    return dist if stacked else float(dist)
-
-
-def euclidean_distance(u: StateVector, v: StateVector) -> float:
-    _require_same_dim(u, v)
-    return float(np.linalg.norm(u.amplitudes - v.amplitudes))
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"shapes {a.shape} and {b.shape} differ")
+    return np.sum(np.abs(np.linalg.eigvalsh(a - b)), axis=-1)
 
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
@@ -208,7 +191,7 @@ def partial_trace(
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate the global phase of a vector, or of every row of an (n, d) stack,
+    """Rotate the global phase of a vector, or of every row of a (..., d) stack,
     so its first entry of magnitude above TOL.nonzero is real positive.
 
     Magnitudes are `np.hypot(re, im)`, which rounds as Python's `abs()` of
@@ -224,26 +207,28 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     return (rows * (rows[n, j].conj() / mag)[:, None]).reshape(v.shape)
 
 
-def dominant_pure(matrix: np.ndarray) -> PureDensity:
-    """Outer product of the dominant eigenvector of the Hermitian part.
+def dominant_pure(matrix: np.ndarray) -> np.ndarray:
+    """Outer product of the dominant eigenvector of the Hermitian part of a
+    matrix, or of every matrix of a (..., d, d) stack.
 
     Degenerate top eigenvalues are broken deterministically by comparing
     the canonical representatives entrywise, preferring weight on earlier
     coordinates (diag(1/2, 1/2) resolves to |0><0|).
     """
     _require_finite(matrix)
-    m = (matrix + matrix.conj().T) / 2
-    if np.abs(m).max() <= TOL.nonzero:
+    d = matrix.shape[-1]
+    flat = matrix.reshape(-1, d, d)
+    m = (flat + flat.conj().transpose(0, 2, 1)) / 2
+    if np.any(np.abs(m).reshape(len(m), -1).max(axis=1) <= TOL.nonzero):
         raise ValidationError("cannot purify the zero matrix")
     vals, vecs = np.linalg.eigh(m)
-    candidates = canonical_phase(vecs[:, vals >= vals[-1] - 1e-12].T)
-
-    def key(v: np.ndarray):
-        return tuple(x for z in v for x in (z.real, z.imag))
+    top = vals >= vals[:, -1:] - 1e-12
+    winner = canonical_phase(vecs[:, :, -1])
     # A top eigenvalue of multiplicity one (the usual case) needs no key.
-    winner = candidates[0] if len(candidates) == 1 else max(candidates, key=key)
-    winner = winner / np.linalg.norm(winner)
-    return _derived(PureDensity, np.outer(winner, winner.conj()))
+    for n in np.flatnonzero(top.sum(axis=1) > 1):
+        candidates = canonical_phase(vecs[n][:, top[n]].T)
+        winner[n] = max(candidates, key=lambda v: tuple(x for z in v for x in (z.real, z.imag)))
+    return outers(winner / row_norms(winner)[:, None]).reshape(matrix.shape)
 
 
 StateLike = Union[StateVector, DensityOperator]

@@ -33,7 +33,7 @@ from .errors import (
 from .circuits import AMap, _candidate_output, g_normalized
 from .linalg import StateVector, outers, trace_distance
 from .superpose import SuperpositionSpec, _normalized, threshold
-from .vecfun import canonical_vecs
+from .vecfun import canonical_vec
 
 MIN_LOOP_SAMPLES = 8
 # Loop points a caller may ask for: each costs a few 2x2 matrices per stack.
@@ -163,7 +163,7 @@ def ideal_candidate(spec: SuperpositionSpec) -> AMap:
     """
 
     def A(rho_u: np.ndarray, rho_v: np.ndarray) -> np.ndarray:
-        return outers(spec.alpha * canonical_vecs(rho_u) + spec.beta * canonical_vecs(rho_v))
+        return outers(spec.alpha * canonical_vec(rho_u) + spec.beta * canonical_vec(rho_v))
 
     return A
 

@@ -12,8 +12,11 @@ The pipeline takes two `StateOracle`s and the two tomography schedules,
 either those `copies_budget` returns or None for noiseless tomography;
 nothing else restates that choice.  The oracles are the trust boundary.
 The vectors the pipeline derives from them (the estimates' vectors, the
-combined output, the targets) are built by `linalg._derived` and not
-checked again.
+combined output, the targets) are not checked again.
+
+Estimates travel as stacks, one row per seed: `_estimates` runs both
+stages for a list of seeds.  `random_superposition` passes one seed, and
+`entangled_superposition` its trial seeds in chunks of `TRIAL_CHUNK`.
 
 The budget search prices every (shot count N, radius widening kappa) cell
 of a fixed grid with one call of `tomo.radii`, the function `schedule_for`
@@ -30,7 +33,8 @@ computed once per run and passed on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from collections import Counter
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,10 +51,8 @@ from .errors import (
 from .linalg import (
     DensityOperator,
     PureDensity,
-    StateVector,
     _derived,
-    euclidean_distance,
-    outer,
+    outers,
     row_norms,
     trace_distance,
 )
@@ -68,6 +70,8 @@ from .calibration import TABLE_MAX_N
 from .vecfun import canonical_vec, vec_i
 
 EQUAL_MAG_TOL = 1e-12
+# Entangled trials per stack: at d = 16 a stack holds 8 MB of counts.
+TRIAL_CHUNK = 256
 # Magnitudes whose squares and products stay finite and nonzero in float64.
 COEFF_MAG_RANGE = (1e-100, 1e100)
 
@@ -137,13 +141,13 @@ def _normalized(w: np.ndarray, spec: SuperpositionSpec) -> np.ndarray:
 
 
 def target_superposition(
-    u: StateVector, v: StateVector, spec: SuperpositionSpec, phi: float
+    u: np.ndarray, v: np.ndarray, spec: SuperpositionSpec, phi: float
 ) -> PureDensity:
-    """Normalized density of alpha*e^{i phi}*u + beta*v."""
-    if u.dim != v.dim:
-        raise DimensionMismatchError(f"dims {u.dim} and {v.dim} differ")
-    w = spec.alpha * np.exp(1j * phi) * u.amplitudes + spec.beta * v.amplitudes
-    return outer(_derived(StateVector, _normalized(w, spec)))
+    """Normalized density of alpha*e^{i phi}*u + beta*v, for unit vectors u, v."""
+    if u.shape != v.shape:
+        raise DimensionMismatchError(f"dims {u.shape[-1]} and {v.shape[-1]} differ")
+    w = spec.alpha * np.exp(1j * phi) * u + spec.beta * v
+    return _derived(PureDensity, outers(_normalized(w, spec)))
 
 
 def threshold(spec: SuperpositionSpec) -> float:
@@ -234,15 +238,12 @@ def copies_budget(
     return _budget_schedules(spec, d, eps)
 
 
-def _implied_phase(
-    cx: StateVector, vx: StateVector, cy: StateVector, vy: StateVector,
-    spec: SuperpositionSpec,
-) -> float:
-    """Phase phi with alpha e^{i phi} cx + beta cy prop. to |alpha| vx + |beta| vy,
-    for the canonical vectors cx, cy and the column vectors vx, vy of two states."""
+def _implied_phase(c: np.ndarray, v: np.ndarray, spec: SuperpositionSpec) -> float:
+    """Phase phi with alpha e^{i phi} c[0] + beta c[1] prop. to |alpha| v[0] + |beta| v[1],
+    for the canonical vectors c and the column vectors v of two states."""
     phi = (
-        np.angle(np.vdot(cx.amplitudes, vx.amplitudes))
-        - np.angle(np.vdot(cy.amplitudes, vy.amplitudes))
+        np.angle(np.vdot(c[0], v[0]))
+        - np.angle(np.vdot(c[1], v[1]))
         - np.angle(spec.alpha)
         + np.angle(spec.beta)
     )
@@ -256,49 +257,51 @@ def _check_vec_transfer(est_x: VectorEstimate, est_y: VectorEstimate) -> None:
     # estimates' vectors are the same-index vectors.
     x = est_x.x
     dist = trace_distance(x, est_y.x)
-    if dist >= 1.0 / (2 * x.dim):
-        return
-    weight = x.matrix[est_x.r, est_x.r].real
+    weight = x[np.arange(len(x)), est_x.r, est_x.r].real
     bound = 2.0 / np.sqrt(weight) * np.sqrt(dist)
-    gap = euclidean_distance(est_x.v, est_y.v)
-    if gap > min(bound, np.sqrt(2.0)) + 1e-9:
+    gap = row_norms(est_x.v - est_y.v)
+    broken = (dist < 1.0 / (2 * x.shape[-1])) & (gap > np.minimum(bound, np.sqrt(2.0)) + 1e-9)
+    if broken.any():
         raise InvariantViolation(
-            f"vector gap {gap:.3e} exceeds transfer bound {bound:.3e}"
+            f"vector gap {gap[broken][0]:.3e} exceeds transfer bound {bound[broken][0]:.3e}"
         )
 
 
-def _combine(
-    vx: StateVector, vy: StateVector, spec: SuperpositionSpec, d: int
-) -> PureDensity:
-    """Renormalized |alpha| vx + |beta| vy, after the output-trace floor check."""
-    w = abs(spec.alpha) * vx.amplitudes + abs(spec.beta) * vy.amplitudes
-    tr = float(np.linalg.norm(w) ** 2)
-    floor = trace_floor(spec, d)
-    if tr + 1e-12 * spec.scale**2 < floor:
-        raise InvariantViolation(f"output trace {tr:.3e} below floor {floor:.3e}")
-    return outer(_derived(StateVector, w / np.linalg.norm(w)))
+def _combine(vx: np.ndarray, vy: np.ndarray, spec: SuperpositionSpec) -> np.ndarray:
+    """Renormalized |alpha| vx + |beta| vy, per row of two (n, d) stacks, after
+    the output-trace floor check."""
+    w = abs(spec.alpha) * vx + abs(spec.beta) * vy
+    norms = row_norms(w)
+    floor = trace_floor(spec, w.shape[-1])
+    low = norms**2 + 1e-12 * spec.scale**2 < floor
+    if low.any():
+        raise InvariantViolation(f"output trace {norms[low][0]**2:.3e} below floor {floor:.3e}")
+    return w / norms[:, None]
 
 
-def _run_pipeline(
+def _estimates(
     oracle_u: StateOracle,
     oracle_v: StateOracle,
     spec: SuperpositionSpec,
     schedules: Optional[Schedules],
-    seed: int,
-) -> Tuple[VectorEstimate, VectorEstimate, PureDensity]:
-    """One run of both stages: the two estimates and the combined state."""
+    seeds: Sequence[int],
+) -> Tuple[VectorEstimate, VectorEstimate]:
+    """Both stages for every seed: two stacks of estimates, one row per seed."""
     d = oracle_u.dim
     if oracle_v.dim != d:
         raise DimensionMismatchError(f"dims {d} and {oracle_v.dim} differ")
     sched_n, sched_m = (None, None) if schedules is None else schedules
-    est_x = vector_tomography(oracle_u, sched_n, seeding.child_seed(seed, seeding.RUN, 0))
+    est_x = vector_tomography(
+        oracle_u, sched_n, [seeding.child_seed(s, seeding.RUN, 0) for s in seeds]
+    )
     paired = est_x.x if spec.equal_magnitudes else None
     est_y = vector_tomography(
-        oracle_v, sched_m, seeding.child_seed(seed, seeding.RUN, 1), paired_with=paired
+        oracle_v, sched_m, [seeding.child_seed(s, seeding.RUN, 1) for s in seeds],
+        paired_with=paired,
     )
     if spec.equal_magnitudes:
         _check_vec_transfer(est_x, est_y)
-    return est_x, est_y, _combine(est_x.v, est_y.v, spec, d)
+    return est_x, est_y
 
 
 def random_superposition(
@@ -316,9 +319,14 @@ def random_superposition(
     phase of the output is whatever r implies.  `schedules` are the pair
     `copies_budget(spec, d, eps)` returns, or None for noiseless tomography.
     """
-    est_x, est_y, state = _run_pipeline(u, v, spec, schedules, seed)
-    phi = _implied_phase(canonical_vec(est_x.x), est_x.v, canonical_vec(est_y.x), est_y.v, spec)
-    return RandomSuperpositionOutcome(r=(est_x.r, est_y.r), state=state, phi_r=phi)
+    est_x, est_y = _estimates(u, v, spec, schedules, [seed])
+    w = _combine(est_x.v, est_y.v, spec)
+    x, vecs = np.concatenate((est_x.x, est_y.x)), np.concatenate((est_x.v, est_y.v))
+    return RandomSuperpositionOutcome(
+        r=(int(est_x.r[0]), int(est_y.r[0])),
+        state=_derived(PureDensity, outers(w[0])),
+        phi_r=_implied_phase(canonical_vec(x), vecs, spec),
+    )
 
 
 def superposition_error(
@@ -328,10 +336,11 @@ def superposition_error(
     spec: SuperpositionSpec,
 ) -> float:
     """Trace distance of an outcome to its per-index target on the true states."""
-    cu, cv = canonical_vec(u), canonical_vec(v)
-    r = outcome.r
-    phi = _implied_phase(cu, vec_i(u, r[0]), cv, vec_i(v, r[1]), spec)
-    return trace_distance(outcome.state, target_superposition(cu, cv, spec, phi))
+    truth = np.stack((u.matrix, v.matrix))
+    c = canonical_vec(truth)
+    phi = _implied_phase(c, vec_i(truth, outcome.r), spec)
+    target = target_superposition(c[0], c[1], spec, phi)
+    return float(trace_distance(outcome.state.matrix, target.matrix))
 
 
 def entangled_superposition(
@@ -345,28 +354,30 @@ def entangled_superposition(
     """Block mixture over index pairs with Monte-Carlo weights.
 
     Each trial runs the full pipeline on a fresh seed and contributes its
-    index pair; the trials share the schedules.  Block states are the
-    noiseless per-index outputs.  Noiseless tomography (`schedules` None)
-    is deterministic, so it runs one trial and gives a single block.
-    `schedules` are as for `random_superposition`.
+    index pair; the trials share the schedules and run as stacks of up to
+    `TRIAL_CHUNK` seeds.  Block states are the noiseless per-index outputs.
+    Noiseless tomography (`schedules` None) is deterministic, so it runs one
+    trial and gives a single block.  `schedules` are as for
+    `random_superposition`.
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
-    truth_u, truth_v = _oracle_density(u), _oracle_density(v)
     if schedules is None:
         trials = 1
-    counts: Dict[IndexPair, int] = {}
-    for t in range(trials):
-        est_x, est_y, _ = _run_pipeline(
-            u, v, spec, schedules, seeding.child_seed(seed, seeding.TRIAL, t)
-        )
-        r = (est_x.r, est_y.r)
-        counts[r] = counts.get(r, 0) + 1
-    blocks = {
-        r: (c / trials, _combine(vec_i(truth_u, r[0]), vec_i(truth_v, r[1]), spec, truth_u.dim))
-        for r, c in sorted(counts.items())
-    }
-    return EntangledSuperposition(blocks=blocks)
+    counts = Counter()
+    for start in range(0, trials, TRIAL_CHUNK):
+        seeds = [seeding.child_seed(seed, seeding.TRIAL, t)
+                 for t in range(start, min(start + TRIAL_CHUNK, trials))]
+        est_x, est_y = _estimates(u, v, spec, schedules, seeds)
+        counts.update(zip(est_x.r.tolist(), est_y.r.tolist()))
+    pairs = sorted(counts)
+    truth = np.stack((_oracle_density(u).matrix, _oracle_density(v).matrix))
+    # Row (s, k) is state s at its index of the k-th pair.
+    vx, vy = vec_i(truth[:, None].repeat(len(pairs), axis=1), np.array(pairs).T)
+    states = outers(_combine(vx, vy, spec))
+    return EntangledSuperposition(blocks={
+        r: (counts[r] / trials, _derived(PureDensity, state)) for r, state in zip(pairs, states)
+    })
 
 
 def figure_of_merit(
@@ -383,7 +394,8 @@ def figure_of_merit(
     (default: the phase the index pair implies).  Outcomes with zero trace
     contribute nothing.
     """
-    cu, cv = canonical_vec(u), canonical_vec(v)
+    truth = np.stack((u.matrix, v.matrix))
+    c = canonical_vec(truth)
     p_succ = sum(w * op.trace for w, op in outcomes.values())
     if p_succ <= 0.0:
         raise ZeroFunctionalError("total success probability is zero")
@@ -395,7 +407,7 @@ def figure_of_merit(
         if phis is not None:
             phi = phis[r]
         else:
-            phi = _implied_phase(cu, vec_i(u, r[0]), cv, vec_i(v, r[1]), spec)
-        tgt = target_superposition(cu, cv, spec, phi)
+            phi = _implied_phase(c, vec_i(truth, r), spec)
+        tgt = target_superposition(c[0], c[1], spec, phi)
         total += w * float(trace_distance(op.matrix, tr * tgt.matrix))
     return total / p_succ

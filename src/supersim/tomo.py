@@ -9,27 +9,30 @@ coordinates, and the matrix is then purified to its dominant eigenvector.
 Shot noise is multinomial per setting, drawn from named counter-based
 streams, so every result is a pure function of (inputs, seed).
 
-Counts travel as one int64 array with a row per setting, in setting order.
+Counts travel as one int64 array with a row per setting, in setting order,
+and estimates as stacks: `reconstruct` maps (..., S, d) counts to (..., d, d)
+estimates, and `vector_tomography` estimates an oracle once per seed of a
+list, so a single run is a stack of one, with the bits it would have alone.
 `radii` is the one definition of the calibrated radii and failure credit,
 for one shot count or a whole grid of them; `schedule_for` is its one-cell
 case.
 A `StateOracle` is the only way in: the dimension cap is checked once, when
-one is built, and the state stays behind its measurements.  The estimate's
-vector is derived from the reconstruction and not checked again.
+one is built, and the state stays behind its measurements.  The estimates
+and their vectors are derived from the counts and not checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import seeding
 from .errors import ValidationError
 from .calibration import lookup_constant, tail_exponent, TABLE_MAX_N
-from .linalg import PureDensity, StateVector, dominant_pure
+from .linalg import PureDensity, dominant_pure
 from .vecfun import select_r, select_r_paired, vec_i
 
 MAX_TOMO_DIM = 16
@@ -59,11 +62,12 @@ class TomographySchedule:
 
 @dataclass(frozen=True)
 class VectorEstimate:
-    """Reconstructed density, its column index, and the chosen vector."""
+    """Stacks of estimates, one row per seed: the reconstructed densities
+    (n, d, d), their column indices (n,), and the chosen vectors (n, d)."""
 
-    x: PureDensity
-    r: int
-    v: StateVector
+    x: np.ndarray
+    r: np.ndarray
+    v: np.ndarray
 
 
 def setting_count(d: int) -> int:
@@ -144,11 +148,14 @@ class StateOracle:
         ])
 
 
-def reconstruct(counts: np.ndarray) -> PureDensity:
-    """Least-squares inversion of row-normalized counts or probabilities, then purification."""
-    d = counts.shape[1]
-    freqs = counts / counts.sum(axis=1, keepdims=True)
-    return dominant_pure(_from_coordinates(_inversion_operator(d) @ freqs.reshape(-1), d))
+def reconstruct(counts: np.ndarray) -> np.ndarray:
+    """Least-squares inversion of row-normalized counts or probabilities, then
+    purification, for a (..., S, d) stack; the inversion is a batched matvec,
+    since the matrix product `freqs @ inv.T` rounds differently."""
+    d = counts.shape[-1]
+    freqs = counts / counts.sum(axis=-1, keepdims=True)
+    flat = freqs.reshape(freqs.shape[:-2] + (-1,))
+    return dominant_pure(_from_coordinates((_inversion_operator(d) @ flat[..., None])[..., 0], d))
 
 
 def radii(d: int, N, kappa) -> tuple:
@@ -184,25 +191,27 @@ def schedule_for(d: int, N: int, kappa: float = 1.0) -> TomographySchedule:
 def vector_tomography(
     oracle: StateOracle,
     schedule: Optional[TomographySchedule],
-    seed: int,
-    paired_with: Optional[PureDensity] = None,
+    seeds: Sequence[int],
+    paired_with: Optional[np.ndarray] = None,
 ) -> VectorEstimate:
-    """Estimate the oracle's state and emit the vector for its own index.
+    """Estimate the oracle's state once per seed, as one stack, and emit each
+    estimate's vector for its own index.
 
-    A `schedule` of None means noiseless: the exact Born frequencies are
-    inverted and `seed` is not used.  With `paired_with` (an earlier
-    estimate), the index is reused from that estimate whenever the two are
-    close; this keeps two estimates of nearly equal states phase-consistent.
-    The estimate's vector is `vec_i(x, r)`; later stages reuse it.
+    Row n samples from `seeds[n]`; a single run passes one seed and gets a
+    stack of one.  A `schedule` of None means noiseless: the exact Born
+    frequencies are inverted, once per seed, and the seeds are not used.
+    With `paired_with` (a stack of earlier estimates, one per seed), each
+    index is reused from its earlier estimate whenever the two are close;
+    this keeps two estimates of nearly equal states phase-consistent.
+    The vectors are `vec_i(x, r)`; later stages reuse them.
     """
     if schedule is None:
-        x = reconstruct(oracle.probabilities())
+        p = oracle.probabilities()
+        counts = np.broadcast_to(p, (len(seeds),) + p.shape)
     else:
-        x = reconstruct(oracle.sample(schedule.N, seed))
-    if paired_with is not None:
-        r = select_r_paired(paired_with, x)
-    else:
-        r = select_r(x)
+        counts = np.stack([oracle.sample(schedule.N, seed) for seed in seeds])
+    x = reconstruct(counts)
+    r = select_r(x) if paired_with is None else select_r_paired(paired_with, x)
     return VectorEstimate(x=x, r=r, v=vec_i(x, r))
 
 

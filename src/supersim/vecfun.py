@@ -1,15 +1,16 @@
 """Canonical vector choices for pure density matrices.
 
 A pure density matrix fixes its vector only up to global phase.  The maps
-here pick one representative per matrix: `canonical_vecs` renormalizes
-the first column with nonvanishing weight of every matrix of a stack, with
-its phase set by `linalg.canonical_phase` (`canonical_vec` is the stack of
-one), `vec_i` starts the column scan at an
-arbitrary index, and `select_r` / `select_r_paired` choose the scan index
-from the matrix itself so the chosen map is continuous near its input.
-The vectors are derived from a validated matrix, so they are built by
-`linalg._derived` and not checked again.  `discontinuity_probe` exhibits
-the sign jump that rules out a single globally continuous choice.
+here pick one representative per matrix, for a (..., d, d) stack of
+matrices at once; one matrix is the stack with no leading axes.  All of
+them share one column scan: `vec_i` renormalizes the first column at or
+after index i (cyclically) with nonvanishing weight, `canonical_vec` is the
+scan from index 0 with its phase set by `linalg.canonical_phase`, and
+`select_r` / `select_r_paired` choose the scan index from the matrix itself
+so the chosen map is continuous near its input.  The vectors are derived
+from validated or reconstructed matrices and are not checked again.
+`discontinuity_probe` exhibits the sign jump that rules out a single
+globally continuous choice.
 """
 
 from __future__ import annotations
@@ -17,87 +18,74 @@ from __future__ import annotations
 import numpy as np
 
 from .config import TOL
-from .errors import DimensionMismatchError, ValidationError
-from .linalg import (
-    PureDensity,
-    StateVector,
-    _derived,
-    canonical_phase,
-    euclidean_distance,
-    outer,
-    row_norms,
-    trace_distance,
-)
+from .errors import ValidationError
+from .linalg import canonical_phase, outers, row_norms, trace_distance
 
 
-def _column_vec(rho: PureDensity, i: int) -> np.ndarray:
-    weight = rho.matrix[i, i].real
-    return rho.matrix[:, i] / np.sqrt(weight)
+def _first(hits: np.ndarray, start=0) -> tuple:
+    """The column scan: per row of a (..., d) boolean stack, the first index
+    at or after `start` (cyclically) where it holds, and whether one does;
+    `start` is one index or a (..., 1) stack of them."""
+    d = hits.shape[-1]
+    offset = np.where(hits, (np.arange(d) - start) % d, d)
+    return offset.argmin(axis=-1), hits.any(axis=-1)
 
 
-def canonical_vecs(rhos: np.ndarray) -> np.ndarray:
-    """Canonical vector of every matrix of an (n, d, d) stack, as (n, d) rows.
+def _column(x: np.ndarray, start) -> np.ndarray:
+    """Column j divided by the root of its diagonal, per matrix of a stack, for
+    the first j at or after `start` whose diagonal is above TOL.nonzero."""
+    d = x.shape[-1]
+    diag = x.diagonal(axis1=-2, axis2=-1).real.reshape(-1, d)
+    j, found = _first(diag > TOL.nonzero, np.reshape(start, (-1, 1)))
+    if not found.all():
+        raise ValidationError("no diagonal entry above threshold; corrupted input")
+    n = np.arange(len(diag))
+    col = x.reshape(-1, d, d)[n, :, j] / np.sqrt(diag[n, j])[:, None]
+    return col.reshape(x.shape[:-1])
+
+
+def canonical_vec(x: np.ndarray) -> np.ndarray:
+    """Canonical vector of every matrix of a (..., d, d) stack, as (..., d) rows.
 
     The first column whose diagonal is above `TOL.nonzero`, divided by the
     root of that diagonal, then given its canonical phase (its first entry
     above `TOL.nonzero` real positive) and renormalized.  The output is a
     deterministic function of the matrix alone.
     """
-    rows = np.arange(rhos.shape[0])
-    diag = rhos.diagonal(axis1=1, axis2=2).real
-    i = (diag > TOL.nonzero).argmax(axis=1)
-    weight = diag[rows, i]
-    if np.count_nonzero(weight <= TOL.nonzero):
-        raise ValidationError("no diagonal entry above threshold; corrupted input")
-    v = canonical_phase(rhos[rows, :, i] / np.sqrt(weight)[:, None])
-    return v / row_norms(v)[:, None]
+    v = canonical_phase(_column(x, 0))
+    return v / row_norms(v)[..., None]
 
 
-def canonical_vec(rho: PureDensity) -> StateVector:
-    """`canonical_vecs` of rho alone."""
-    return _derived(StateVector, canonical_vecs(rho.matrix[None])[0])
-
-
-def vec_i(rho: PureDensity, i: int) -> StateVector:
-    """Column-i representative, falling through to i+1 mod d on zero weight."""
-    d = rho.dim
-    if not 0 <= i < d:
+def vec_i(x: np.ndarray, i) -> np.ndarray:
+    """Column-i representative of every matrix of a stack, falling through to
+    i+1 mod d on zero weight; `i` is one index or one per matrix."""
+    i, d = np.asarray(i), x.shape[-1]
+    if i.min() < 0 or i.max() >= d:
         raise ValidationError(f"index {i} out of range for dim {d}")
-    diag = rho.matrix.diagonal().real
-    for step in range(d):
-        j = (i + step) % d
-        if diag[j] > TOL.nonzero:
-            v = _column_vec(rho, j)
-            return _derived(StateVector, v / np.linalg.norm(v))
-    raise ValidationError("no diagonal entry above threshold; corrupted input")
+    v = _column(x, i)
+    return v / row_norms(v)[..., None]
 
 
-def select_r(x: PureDensity) -> int:
-    """Smallest index whose diagonal entry reaches 1/d.
+def select_r(x: np.ndarray) -> np.ndarray:
+    """Smallest index whose diagonal entry reaches 1/d, per matrix of a stack.
 
     The comparison is a sharp >= on the stored floats; at least one
-    diagonal qualifies because they sum to 1.
+    diagonal qualifies because they sum to 1, and where float rounding
+    leaves every diagonal a hair under 1/d the largest one is taken.
     """
-    diag = x.matrix.diagonal().real
-    cut = 1.0 / x.dim
-    for i in range(x.dim):
-        if diag[i] >= cut:
-            return i
-    # Float rounding can leave every diagonal a hair under 1/d.
-    return int(np.argmax(diag))
+    diag = x.diagonal(axis1=-2, axis2=-1).real
+    r, found = _first(diag >= 1.0 / x.shape[-1])
+    return np.where(found, r, diag.argmax(axis=-1))
 
 
-def select_r_paired(x: PureDensity, y: PureDensity) -> int:
-    """Index rule for the second of two estimates.
+def select_r_paired(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Index rule for the second of two estimates, pairwise over two stacks.
 
     Reuses x's index when the estimates are close (trace distance below
     1/(2d)), otherwise falls back to y's own rule.
     """
-    if x.dim != y.dim:
-        raise DimensionMismatchError(f"dims {x.dim} and {y.dim} differ")
-    if trace_distance(x, y) < 1.0 / (2 * x.dim):
-        return select_r(x)
-    return select_r(y)
+    close = trace_distance(x, y) < 1.0 / (2 * x.shape[-1])
+    return np.where(close, select_r(x), select_r(y))
 
 
 def discontinuity_probe(eps: float) -> float:
@@ -109,6 +97,6 @@ def discontinuity_probe(eps: float) -> float:
     """
     if not 0.0 < eps <= 1.0:
         raise ValidationError(f"eps must lie in (0, 1], got {eps}")
-    probe = StateVector(np.array([-np.sqrt(eps), np.sqrt(1.0 - eps)]))
-    one = StateVector(np.array([0.0, 1.0]))
-    return euclidean_distance(canonical_vec(outer(probe)), canonical_vec(outer(one)))
+    kets = np.array([[-np.sqrt(eps), np.sqrt(1.0 - eps)], [0.0, 1.0]], dtype=np.complex128)
+    probe, one = canonical_vec(outers(kets))
+    return float(row_norms(probe - one))

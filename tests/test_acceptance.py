@@ -66,9 +66,9 @@ def tomography_runs():
             rng = seeding.rng_for(2026, seeding.STATE, d, i)
             truth = outer(StateVector(seeding.haar_state(rng, d)))
             est = vector_tomography(
-                StateOracle(truth), schedule, seeding.child_seed(2026, seeding.TRIAL, d, i)
+                StateOracle(truth), schedule, [seeding.child_seed(2026, seeding.TRIAL, d, i)]
             )
-            runs.append((d, schedule, truth, est))
+            runs.append((d, schedule, truth.matrix, est))
     return runs
 
 
@@ -80,7 +80,7 @@ def test_criterion_1_pure_state_identity():
         for _ in range(250):
             u, w = seeding.haar_state(rng, d), seeding.haar_state(rng, d)
             overlap = abs(np.vdot(u, w)) ** 2
-            dist = trace_distance(outer(StateVector(u)), outer(StateVector(w)))
+            dist = trace_distance(outer(StateVector(u)).matrix, outer(StateVector(w)).matrix)
             worst = max(worst, abs((1 - overlap) - dist**2 / 4))
     elapsed = time.time() - start
     report(
@@ -116,11 +116,11 @@ def test_criterion_3_tensor_power_lipschitz():
     for _ in range(100):
         rho = outer(StateVector(seeding.haar_state(rng, 2)))
         sigma = outer(StateVector(seeding.haar_state(rng, 2)))
-        base = trace_distance(rho, sigma)
+        base = trace_distance(rho.matrix, sigma.matrix)
         rho_n, sigma_n = rho, sigma
         for n in range(2, 5):
             rho_n, sigma_n = tensor(rho_n, rho), tensor(sigma_n, sigma)
-            if trace_distance(rho_n, sigma_n) > n * base + 1e-10:
+            if trace_distance(rho_n.matrix, sigma_n.matrix) > n * base + 1e-10:
                 violations += 1
     report("criterion-3 tensor-power bound", violations == 0, f"{violations} violations")
 
@@ -130,7 +130,7 @@ def test_criterion_4_tomography_guarantee(tomography_runs):
     hits = total = 0
     for d, schedule, truth, est in tomography_runs:
         total += 1
-        gap = np.linalg.norm(est.v.amplitudes - vec_i(truth, est.r).amplitudes)
+        gap = np.linalg.norm(est.v[0] - vec_i(truth, est.r[0]))
         hits += gap <= schedule.eps_vec
     rate = hits / total
     elapsed = time.time() - start
@@ -144,14 +144,15 @@ def test_criterion_4_tomography_guarantee(tomography_runs):
 def test_criterion_5_vector_transfer_bound(tomography_runs):
     violations = checked = 0
     for d, schedule, truth, est in tomography_runs:
-        t = trace_distance(est.x, truth)
+        x = est.x[0]
+        t = trace_distance(x, truth)
         if t >= 1.0 / (2 * d):
             continue
         checked += 1
-        r = select_r(est.x)
-        weight = est.x.matrix[r, r].real
+        r = select_r(x)
+        weight = x[r, r].real
         bound = (1.0 / np.sqrt(weight) + 0.5) * t + 0.25 * t * t
-        gap = np.linalg.norm(vec_i(est.x, r).amplitudes - vec_i(truth, r).amplitudes)
+        gap = np.linalg.norm(vec_i(x, r) - vec_i(truth, r))
         if gap > bound + 1e-12:
             violations += 1
     report(
@@ -300,7 +301,7 @@ def test_criterion_12_calibration_between_dims():
             counts = StateOracle(truth).sample(
                 schedule.N, seeding.child_seed(2027, seeding.TRIAL, d, i)
             )
-            misses += trace_distance(reconstruct(counts), truth) > schedule.eps_tr
+            misses += trace_distance(reconstruct(counts), truth.matrix) > schedule.eps_tr
         rates[d] = misses / 200
     elapsed = time.time() - start
     report(

@@ -83,11 +83,11 @@ class TestApplyPostselection:
             delta = 1e-4 * (rng.normal(size=2) + 1j * rng.normal(size=2))
             bumped = base.amplitudes + delta
             bumped = StateVector(bumped / np.linalg.norm(bumped))
-            gap_in = trace_distance(outer(base), outer(bumped))
+            gap_in = trace_distance(outer(base).matrix, outer(bumped).matrix)
             v = haar_density(rng, 2)
             gap_out = trace_distance(
-                apply_postselection(c, outer(base), v),
-                apply_postselection(c, outer(bumped), v),
+                apply_postselection(c, outer(base), v).matrix,
+                apply_postselection(c, outer(bumped), v).matrix,
             )
             assert gap_out <= 4.0 * gap_in + 1e-12
 

@@ -159,6 +159,30 @@ class TestSuperpose:
         assert json.loads(out)["error"]["type"] == "DimensionMismatchError"
         assert searches == []
 
+    @pytest.mark.parametrize("extra", [[], ["--entangled", "--trials", "3"]])
+    def test_dimension_cap_refused_before_the_budget_search(
+        self, capsys, tmp_path, monkeypatch, extra
+    ):
+        # Equal coefficients at d = 17 ask for more shots than the table holds,
+        # so a budget search would fail before the oracles refuse the dimension.
+        searches = []
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        search = superpose._budget_schedules
+        monkeypatch.setattr(superpose, "_budget_schedules", counted)
+        files = []
+        for name in ("u", "v"):
+            path = tmp_path / f"{name}17.json"
+            save_state(path, basis_state(17, 0))
+            files += [f"--{name}", str(path)]
+        code, out = run(capsys, "superpose", *files, *extra)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ValidationError"
+        assert searches == []
+
 
 def _scaled(pair, c):
     return [f"{z.real * c!r},{z.imag * c!r}" for z in pair]

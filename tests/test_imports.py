@@ -1,9 +1,11 @@
-"""Every top-level import is used.
+"""Every top-level import is used, and every private module-level name too.
 
 No linter ships with the package, so this scans the source with `ast`: a
 name bound by a module-level import must be referenced somewhere in the
-same module.  `supersim/__init__.py` is skipped because its imports are
-re-exports.
+same module, and a private name (one leading underscore) defined at a
+module's top level in `src/supersim` must be referenced somewhere in the
+package outside its own definition.  `supersim/__init__.py` is skipped by
+the import scan because its imports are re-exports.
 """
 
 import ast
@@ -12,9 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(
-    p for p in (ROOT / "src" / "supersim").glob("*.py") if p.name != "__init__.py"
-) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "supersim").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -31,6 +32,43 @@ def unused_imports(source: str) -> list:
     return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
 
 
+def _defined(stmt) -> set:
+    """Private names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = {stmt.name}
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    else:
+        names = set()
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _referenced(stmt) -> set:
+    """Names a statement reads, as a bare name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unused_private_names(sources: dict) -> list:
+    """Private top-level names of `sources` (module name -> source) that no
+    statement but their own definition references, as "module.name"."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = _defined(stmt)
+            defined += [(module, name) for name in own]
+            used |= _referenced(stmt) - own
+    return sorted(f"{module}.{name}" for module, name in defined if name not in used)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -39,3 +77,17 @@ def test_no_unused_top_level_imports(path):
 def test_scan_flags_an_unused_name():
     source = "import os\nfrom json import dumps, loads\nimport numpy as np\nloads(np)\n"
     assert unused_imports(source) == ["dumps (line 2)", "os (line 1)"]
+
+
+def test_no_unused_private_names():
+    assert unused_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def test_private_scan_flags_a_dead_name():
+    sources = {
+        "a": "_LIMIT = 3\n_imported = 1\n__version__ = '1'\n"
+             "def _dead(n):\n    return _dead(n - 1) if n else _LIMIT\n"
+             "def _attr():\n    pass\n",
+        "b": "from a import _imported\nimport a\na._attr()\n",
+    }
+    assert unused_private_names(sources) == ["a._dead"]

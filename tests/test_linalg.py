@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import haar_density, haar_vector
+from conftest import haar_density, haar_vector, one_candidate_at_a_time
 from supersim.config import TOL
 from supersim.errors import (
     DimensionMismatchError,
@@ -86,10 +86,10 @@ class TestOuter:
 class TestTraceDistance:
     def test_orthogonal_pure_states(self):
         a, b = outer(basis_state(2, 0)), outer(basis_state(2, 1))
-        assert trace_distance(a, b) == pytest.approx(2.0)
+        assert trace_distance(a.matrix, b.matrix) == pytest.approx(2.0)
 
     def test_identical(self, rng):
-        rho = haar_density(rng, 3)
+        rho = haar_density(rng, 3).matrix
         assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_state_overlap_identity(self, rng):
@@ -97,18 +97,23 @@ class TestTraceDistance:
             for _ in range(50):
                 u, w = haar_vector(rng, d), haar_vector(rng, d)
                 overlap = abs(np.vdot(u.amplitudes, w.amplitudes)) ** 2
-                dist = trace_distance(outer(u), outer(w))
+                dist = trace_distance(outer(u).matrix, outer(w).matrix)
                 assert abs((1 - overlap) - dist**2 / 4) < 1e-10
 
     def test_metric_properties(self, rng):
         for _ in range(25):
-            a, b, c = (haar_density(rng, 3) for _ in range(3))
+            a, b, c = (haar_density(rng, 3).matrix for _ in range(3))
             assert trace_distance(a, b) == pytest.approx(trace_distance(b, a))
             assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            trace_distance(outer(basis_state(2, 0)), outer(basis_state(3, 0)))
+            trace_distance(outer(basis_state(2, 0)).matrix, outer(basis_state(3, 0)).matrix)
+
+    def test_stack_is_pairwise(self, rng):
+        a = np.stack([haar_density(rng, 3).matrix for _ in range(6)])
+        b = np.stack([haar_density(rng, 3).matrix for _ in range(6)])
+        assert np.array_equal(trace_distance(a, b), [trace_distance(x, y) for x, y in zip(a, b)])
 
 
 class TestTensor:
@@ -126,11 +131,11 @@ class TestTensor:
         # D(rho^n, sigma^n) <= n * D(rho, sigma)
         for _ in range(100):
             rho, sigma = haar_density(rng, 2), haar_density(rng, 2)
-            base = trace_distance(rho, sigma)
+            base = trace_distance(rho.matrix, sigma.matrix)
             rho_n, sigma_n = rho, sigma
             for n in range(2, 5):
                 rho_n, sigma_n = tensor(rho_n, rho), tensor(sigma_n, sigma)
-                assert trace_distance(rho_n, sigma_n) <= n * base + 1e-10
+                assert trace_distance(rho_n.matrix, sigma_n.matrix) <= n * base + 1e-10
 
 
 class TestPartialTrace:
@@ -152,8 +157,8 @@ class TestPartialTrace:
         a = tensor(haar_density(rng, 2), haar_density(rng, 2))
         b = tensor(haar_density(rng, 2), haar_density(rng, 2))
         assert trace_distance(
-            partial_trace(a, [0], [2, 2]), partial_trace(b, [0], [2, 2])
-        ) <= trace_distance(a, b) + 1e-12
+            partial_trace(a, [0], [2, 2]).matrix, partial_trace(b, [0], [2, 2]).matrix
+        ) <= trace_distance(a.matrix, b.matrix) + 1e-12
 
     def test_bad_dims(self, rng):
         with pytest.raises(DimensionMismatchError):
@@ -177,22 +182,8 @@ class TestCanonicalPhase:
 class TestDominantPure:
     def test_tie_break_deterministic(self):
         assert np.allclose(
-            dominant_pure(np.eye(2) / 2).matrix, outer(basis_state(2, 0)).matrix
+            dominant_pure(np.eye(2) / 2), outer(basis_state(2, 0)).matrix
         )
-
-    @staticmethod
-    def one_candidate_at_a_time(matrix):
-        """Each tied eigenvector rotated on its own, with Python's abs() of each entry."""
-        vals, vecs = np.linalg.eigh((matrix + matrix.conj().T) / 2)
-        candidates = []
-        for j in range(vals.size):
-            if vals[j] >= vals[-1] - 1e-12:
-                v = vecs[:, j]
-                entry = next(e for e in v if abs(e) > TOL.nonzero)
-                candidates.append(v * (entry.conjugate() / abs(entry)))
-        winner = max(candidates, key=lambda v: tuple(x for z in v for x in (z.real, z.imag)))
-        winner = winner / np.linalg.norm(winner)
-        return np.outer(winner, winner.conj())
 
     @pytest.mark.parametrize("d", range(2, 17))
     def test_matches_one_candidate_at_a_time(self, rng, d):
@@ -204,14 +195,15 @@ class TestDominantPure:
         for _ in range(5):
             g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             inputs.append(g + g.conj().T)
-        for m in inputs:
-            assert np.array_equal(dominant_pure(m).matrix, self.one_candidate_at_a_time(m))
+        want = [one_candidate_at_a_time(m) for m in inputs]
+        assert np.array_equal([dominant_pure(m) for m in inputs], want)
+        assert np.array_equal(dominant_pure(np.stack(inputs)), want)
 
     def test_recovers_dominant_eigenvector(self, rng):
         v = haar_vector(rng, 3)
         noisy = 0.9 * outer(v).matrix + 0.1 * np.eye(3) / 3
         est = dominant_pure(noisy)
-        assert trace_distance(est, outer(v)) < 1e-9
+        assert trace_distance(est, outer(v).matrix) < 1e-9
 
 
 class TestStateIO:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_density, haar_vector
+from supersim import seeding, tomo
 from supersim.calibration import TABLE_MAX_N, _dim_entry, tail_exponent
 from supersim.errors import (
     BudgetExceededError,
@@ -20,6 +21,7 @@ from supersim.linalg import (
     outer,
 )
 from supersim.superpose import (
+    TRIAL_CHUNK,
     EntangledSuperposition,
     SuperpositionSpec,
     _KAPPA_GRID,
@@ -36,7 +38,13 @@ from supersim.superpose import (
     threshold,
     trace_floor,
 )
-from supersim.tomo import DELTA_TR, StateOracle, TomographySchedule, schedule_for
+from supersim.tomo import (
+    DELTA_TR,
+    StateOracle,
+    TomographySchedule,
+    schedule_for,
+    vector_tomography,
+)
 from supersim.vecfun import vec_i
 
 EQUAL = SuperpositionSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -56,17 +64,17 @@ class TestSpec:
 
 class TestTargetSuperposition:
     def test_plus_state(self):
-        out = target_superposition(basis_state(2, 0), basis_state(2, 1), EQUAL, 0.0)
+        out = target_superposition(np.eye(2)[0], np.eye(2)[1], EQUAL, 0.0)
         assert np.allclose(out.matrix, np.full((2, 2), 0.5))
 
     def test_cancellation_raises(self):
         spec = SuperpositionSpec(1.0, -1.0)
         with pytest.raises(DegenerateSuperpositionError):
-            target_superposition(basis_state(2, 0), basis_state(2, 0), spec, 0.0)
+            target_superposition(np.eye(2)[0], np.eye(2)[0], spec, 0.0)
 
     def test_complex_coefficients(self):
         spec = SuperpositionSpec(1.0, 1.0j)
-        out = target_superposition(basis_state(2, 0), basis_state(2, 1), spec, 0.0)
+        out = target_superposition(np.eye(2)[0], np.eye(2)[1], spec, 0.0)
         expected = outer(StateVector(np.array([1.0, 1.0j]) / np.sqrt(2)))
         assert np.allclose(out.matrix, expected.matrix)
 
@@ -291,13 +299,84 @@ class TestEntangled:
             EntangledSuperposition(blocks={(0, 0): (-0.5, state), (0, 1): (1.5, state)})
 
 
+def reference_entangled(u, v, spec, schedules, seed, trials):
+    """The per-trial loop the stacked trials replaced, kept as the reference:
+    each trial runs both stages on its own seed, and each block state is the
+    noiseless output at the block's index pair."""
+    counts = {}
+    for t in range(trials):
+        trial_seed = seeding.child_seed(seed, seeding.TRIAL, t)
+        est_x = vector_tomography(
+            StateOracle(u), schedules[0], [seeding.child_seed(trial_seed, seeding.RUN, 0)]
+        )
+        paired = est_x.x if spec.equal_magnitudes else None
+        est_y = vector_tomography(
+            StateOracle(v), schedules[1], [seeding.child_seed(trial_seed, seeding.RUN, 1)],
+            paired_with=paired,
+        )
+        r = (int(est_x.r[0]), int(est_y.r[0]))
+        counts[r] = counts.get(r, 0) + 1
+    blocks = {}
+    for r, c in sorted(counts.items()):
+        w = abs(spec.alpha) * vec_i(u.matrix, r[0]) + abs(spec.beta) * vec_i(v.matrix, r[1])
+        w = w / np.linalg.norm(w)
+        blocks[r] = (c / trials, np.outer(w, w.conj()))
+    return blocks
+
+
+class TestEntangledStack:
+    """The trials run as stacks of TRIAL_CHUNK seeds and give the blocks of
+    the per-trial loop, bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize(
+        "spec", [EQUAL, SuperpositionSpec(0.8, 0.6j)], ids=["equal", "unequal"]
+    )
+    def test_blocks_match_the_per_trial_loop(self, d, spec):
+        rng = np.random.default_rng(40 + d)
+        # A uniform-magnitude u splits its trials over several index pairs, and
+        # v sits at trace distance 1/(2d) from u, the paired index rule's
+        # threshold, so the rule takes both of its branches.
+        amps = np.exp(2j * np.pi * rng.uniform(size=d)) / np.sqrt(d)
+        w = haar_vector(rng, d).amplitudes
+        w = w - np.vdot(amps, w) * amps
+        t = np.arcsin(1 / (4 * d))
+        u = outer(StateVector(amps))
+        v = outer(StateVector(np.cos(t) * amps + np.sin(t) * w / np.linalg.norm(w)))
+        schedules = copies_budget(spec, d, 1.5)
+        trials = TRIAL_CHUNK + 44
+        got = entangled_superposition(StateOracle(u), StateOracle(v), spec, schedules, 9, trials)
+        want = reference_entangled(u, v, spec, schedules, 9, trials)
+        assert list(got.blocks) == list(want)
+        assert len(want) >= 2
+        for r, (w, state) in got.blocks.items():
+            assert w == want[r][0]
+            assert np.array_equal(state.matrix, want[r][1])
+
+    @pytest.mark.parametrize("trials, calls", [(10, 2), (TRIAL_CHUNK, 2), (TRIAL_CHUNK + 1, 4)])
+    def test_two_purifications_per_chunk(self, monkeypatch, rng, trials, calls):
+        counted = []
+
+        def counting(matrix):
+            counted.append(matrix.shape)
+            return purify(matrix)
+
+        purify = tomo.dominant_pure
+        monkeypatch.setattr(tomo, "dominant_pure", counting)
+        u, v = haar_density(rng, 2), haar_density(rng, 2)
+        entangled_superposition(
+            StateOracle(u), StateOracle(v), EQUAL, copies_budget(EQUAL, 2, 1.0), 5, trials
+        )
+        assert len(counted) == calls
+
+
 class TestFigureOfMerit:
     def test_perfect_match(self, rng):
         u, v = haar_density(rng, 2), haar_density(rng, 2)
         phis = {(0, 0): 1.1}
         from supersim.vecfun import canonical_vec
 
-        target = target_superposition(canonical_vec(u), canonical_vec(v), EQUAL, 1.1)
+        target = target_superposition(canonical_vec(u.matrix), canonical_vec(v.matrix), EQUAL, 1.1)
         outcomes = {(0, 0): (1.0, DensityOperator(0.7 * target.matrix))}
         assert figure_of_merit(outcomes, u, v, EQUAL, phis) == pytest.approx(0.0, abs=1e-12)
 
@@ -309,20 +388,20 @@ class TestFigureOfMerit:
         outcomes = {}
         a, b = abs(spec.alpha), abs(spec.beta)
         for r in [(0, 0), (1, 2), (2, 1)]:
-            w = a * vec_i(u, r[0]).amplitudes + b * vec_i(v, r[1]).amplitudes
+            w = a * vec_i(u.matrix, r[0]) + b * vec_i(v.matrix, r[1])
             rho = outer(StateVector(w / np.linalg.norm(w))).matrix
             outcomes[r] = (1 / 3, DensityOperator(0.5 * rho))
         assert figure_of_merit(outcomes, u, v, spec) == pytest.approx(0.0, abs=1e-12)
 
     def test_opposite_phase_scores_two(self):
         u, v = outer(basis_state(2, 0)), outer(basis_state(2, 1))
-        minus = target_superposition(basis_state(2, 0), basis_state(2, 1), EQUAL, np.pi)
+        minus = target_superposition(np.eye(2)[0], np.eye(2)[1], EQUAL, np.pi)
         outcomes = {(0, 0): (1.0, DensityOperator(minus.matrix))}
         assert figure_of_merit(outcomes, u, v, EQUAL, {(0, 0): 0.0}) == pytest.approx(2.0)
 
     def test_zero_trace_outcome_harmless(self, rng):
         u, v = outer(basis_state(2, 0)), outer(basis_state(2, 1))
-        plus = target_superposition(basis_state(2, 0), basis_state(2, 1), EQUAL, 0.0)
+        plus = target_superposition(np.eye(2)[0], np.eye(2)[1], EQUAL, 0.0)
         outcomes = {
             (0, 0): (0.5, DensityOperator(plus.matrix)),
             (0, 1): (0.5, DensityOperator(np.zeros((2, 2)))),

@@ -1,8 +1,11 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from conftest import haar_density
-from supersim import seeding
+from supersim import calibration, seeding
 from supersim.errors import ValidationError
 from supersim.linalg import StateVector, basis_state, outer, trace_distance
 from supersim.tomo import (
@@ -160,15 +163,15 @@ class TestReconstruct:
     def test_exact_frequencies_recover_state(self, rng):
         for d in (2, 3, 4):
             rho = haar_density(rng, d)
-            est = vector_tomography(StateOracle(rho), None, seed=0)
-            assert trace_distance(est.x, rho) < 1e-9
+            est = vector_tomography(StateOracle(rho), None, seeds=[0])
+            assert trace_distance(est.x[0], rho.matrix) < 1e-9
 
     def test_error_shrinks_with_shots(self, rng):
         rho = haar_density(rng, 2)
         errs = []
         for n in (100, 10**4, 10**6):
             est = reconstruct(StateOracle(rho).sample(n, seed=3))
-            errs.append(trace_distance(est, rho))
+            errs.append(trace_distance(est, rho.matrix))
         assert errs[2] < errs[0]
 
 
@@ -211,25 +214,39 @@ class TestGuarantee:
         for i in range(50):
             rho = haar_density(rng, 2)
             est = vector_tomography(
-                StateOracle(rho), schedule, seeding.child_seed(i, seeding.TRIAL, 0)
+                StateOracle(rho), schedule, [seeding.child_seed(i, seeding.TRIAL, 0)]
             )
-            err = np.linalg.norm(est.v.amplitudes - vec_i(rho, est.r).amplitudes)
+            err = np.linalg.norm(est.v[0] - vec_i(rho.matrix, est.r[0]))
             hits += err <= schedule.eps_vec
         assert hits / 50 >= 0.9
 
     def test_paired_estimate_keeps_index(self, rng):
         rho = haar_density(rng, 2)
         schedule = schedule_for(2, 10**5)
-        first = vector_tomography(StateOracle(rho), schedule, seed=1)
-        second = vector_tomography(StateOracle(rho), schedule, seed=2, paired_with=first.x)
+        first = vector_tomography(StateOracle(rho), schedule, seeds=[1])
+        second = vector_tomography(StateOracle(rho), schedule, seeds=[2], paired_with=first.x)
         assert second.r == first.r
 
     def test_vector_matches_truth_index(self, rng):
         rho = haar_density(rng, 3)
         schedule = schedule_for(3, 10**5)
-        est = vector_tomography(StateOracle(rho), schedule, seed=5)
-        truth = vec_i(rho, est.r)
-        assert np.linalg.norm(est.v.amplitudes - truth.amplitudes) <= schedule.eps_vec
+        est = vector_tomography(StateOracle(rho), schedule, seeds=[5])
+        truth = vec_i(rho.matrix, est.r[0])
+        assert np.linalg.norm(est.v[0] - truth) <= schedule.eps_vec
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_a_stack_of_seeds_is_each_seed_alone(self, rng, d):
+        oracle, schedule = StateOracle(haar_density(rng, d)), schedule_for(d, 1000)
+        seeds = list(range(40, 52))
+        paired = vector_tomography(oracle, schedule, [s + 100 for s in seeds]).x
+        for pair in (None, paired):
+            est = vector_tomography(oracle, schedule, seeds, paired_with=pair)
+            for n, seed in enumerate(seeds):
+                one = vector_tomography(oracle, schedule, [seed],
+                                        paired_with=None if pair is None else pair[n:n + 1])
+                assert np.array_equal(est.x[n], one.x[0])
+                assert est.r[n] == one.r[0]
+                assert np.array_equal(est.v[n], one.v[0])
 
 
 class TestOracleDiscipline:
@@ -243,3 +260,40 @@ class TestOracleDiscipline:
         StateOracle(haar_density(rng, MAX_TOMO_DIM))
         with pytest.raises(ValidationError):
             StateOracle(haar_density(rng, MAX_TOMO_DIM + 1))
+
+
+def reference_build_table(seed, states):
+    """The per-state loop the stacked cells replaced, kept as the reference:
+    each dimension's cells and tail exponent."""
+    out = {}
+    for d in calibration.CAL_DIMS:
+        scaled, cells = [], []
+        for cell_idx, n_shots in enumerate(calibration.CAL_GRID):
+            errors = np.empty(states)
+            for i in range(states):
+                rng = seeding.rng_for(seed, seeding.STATE, d, cell_idx, i)
+                rho = outer(StateVector(seeding.haar_state(rng, d)))
+                trial_seed = seeding.child_seed(seed, seeding.TRIAL, d, cell_idx, i)
+                est = reconstruct(StateOracle(rho).sample(n_shots, trial_seed))
+                errors[i] = trace_distance(est, rho.matrix)
+            c = calibration._bisect_constant(errors, d, n_shots) * calibration.INFLATION
+            cells.append([n_shots, c])
+            scaled.append(errors / (c * d / np.sqrt(n_shots)))
+        for i in range(len(cells) - 2, -1, -1):
+            cells[i][1] = max(cells[i][1], cells[i + 1][1])
+        out[str(d)] = (cells, calibration._fit_tail(np.concatenate(scaled)))
+    return out
+
+
+def test_build_table_matches_the_per_state_loop(tmp_path):
+    packaged = resources.files("supersim.data").joinpath(calibration.TABLE_FILE)
+    before = packaged.read_bytes()
+    path = tmp_path / "calibration.json"
+    table = calibration.build_table(seed=7, states=4, path=path)
+    assert json.loads(path.read_text()) == table
+    want = reference_build_table(7, 4)
+    assert sorted(table["dims"]) == sorted(want)
+    for d, (cells, tail) in want.items():
+        assert table["dims"][d]["cells"] == cells
+        assert table["dims"][d]["tail"] == tail
+    assert packaged.read_bytes() == before
