@@ -32,7 +32,7 @@ from .errors import (
 )
 from .circuits import AMap, _candidate_output, g_normalized
 from .linalg import StateVector, outers, trace_distance
-from .superpose import SuperpositionSpec, _normalized, threshold
+from .superpose import SuperpositionSpec, target_superposition, threshold
 from .vecfun import canonical_vec
 
 MIN_LOOP_SAMPLES = 8
@@ -114,16 +114,15 @@ def _winding_along(A: AMap, x0: StateVector, k: int, n: int) -> int:
 def _best_phase_error(A: AMap, xs: np.ndarray, spec: SuperpositionSpec) -> np.ndarray:
     """Output error at every row of xs against its most favorable target phase.
 
-    Each target is `target_superposition(x, perp, spec, phi)`, built row by
-    row here, at the phase phi of the output's cross term.
+    The targets are `target_superposition(xs, perps, spec, phi)`, one stack
+    for the whole loop, at the phase phi of each output's cross term.
     """
     rhos, perps = _candidate_output(A, xs)
     cross = np.conj(spec.alpha) * spec.beta * (
         xs.conj()[:, None, :] @ rhos @ perps[:, :, None]
     )[:, 0, 0]
     phi = np.where(np.abs(cross) > 1e-15 * spec.scale**2, np.angle(cross), 0.0)
-    w = (spec.alpha * np.exp(1j * phi))[:, None] * xs + spec.beta * perps
-    return trace_distance(rhos, outers(_normalized(w, spec)))
+    return trace_distance(rhos, target_superposition(xs, perps, spec, phi))
 
 
 def obstruction_audit(

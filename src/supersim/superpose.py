@@ -24,10 +24,13 @@ evaluates at one cell, and takes the smallest N whose best kappa meets the
 target.  The second stage's cost is exactly twice the first's (scaling by
 2 is exact in floating point), so one grid serves both stages.
 
-A combination whose norm is at most `TOL.nonzero` times the coefficient
-scale is refused by `_normalized`, for one target here and for a stack of
-them in the obstruction audit.  Each canonical and column vector is
-computed once per run and passed on.
+Targets are plain (..., d, d) arrays that only `target_superposition`
+forms, for one pair of vectors or for the stacks the obstruction audit and
+`figure_of_merit` score.  `_pair_targets` gives the targets of index pairs
+on the true states.  One pair is the stack with no leading axes, so its
+coefficient alpha e^{i phi} stays a scalar product: numpy's array loop
+rounds it differently.  Each canonical and column vector is computed once
+per run and passed on.
 """
 
 from __future__ import annotations
@@ -48,14 +51,7 @@ from .errors import (
     ValidationError,
     ZeroFunctionalError,
 )
-from .linalg import (
-    DensityOperator,
-    PureDensity,
-    _derived,
-    outers,
-    row_norms,
-    trace_distance,
-)
+from .linalg import DensityOperator, PureDensity, _derived, outers, row_norms, trace_distance
 from .tomo import (
     MIN_SHOTS,
     StateOracle,
@@ -128,26 +124,20 @@ class EntangledSuperposition:
             raise ValidationError(f"block weights sum to {sum(weights)}, not 1")
 
 
-def _normalized(w: np.ndarray, spec: SuperpositionSpec) -> np.ndarray:
-    """A superposition vector, or every row of an (n, d) stack of them, scaled
-    to unit norm.  A norm of at most TOL.nonzero * spec.scale means the
+def target_superposition(u: np.ndarray, v: np.ndarray, spec: SuperpositionSpec, phi) -> np.ndarray:
+    """Normalized densities of alpha*e^{i phi}*u + beta*v, as a (..., d, d) array,
+    for unit vectors u, v and one phase, or for (..., d) stacks of them with
+    one phase per row.  A norm of at most TOL.nonzero * spec.scale means the
     coefficients cancel, and is refused."""
+    if u.shape != v.shape:
+        raise DimensionMismatchError(f"dims {u.shape[-1]} and {v.shape[-1]} differ")
+    w = np.asarray(spec.alpha * np.exp(1j * phi))[..., None] * u + spec.beta * v
     norms = row_norms(w)[..., None]
     if np.any(norms <= TOL.nonzero * spec.scale):
         raise DegenerateSuperpositionError(
             "coefficients cancel exactly; superposition is the zero vector"
         )
-    return w / norms
-
-
-def target_superposition(
-    u: np.ndarray, v: np.ndarray, spec: SuperpositionSpec, phi: float
-) -> PureDensity:
-    """Normalized density of alpha*e^{i phi}*u + beta*v, for unit vectors u, v."""
-    if u.shape != v.shape:
-        raise DimensionMismatchError(f"dims {u.shape[-1]} and {v.shape[-1]} differ")
-    w = spec.alpha * np.exp(1j * phi) * u + spec.beta * v
-    return _derived(PureDensity, outers(_normalized(w, spec)))
+    return outers(w / norms)
 
 
 def threshold(spec: SuperpositionSpec) -> float:
@@ -238,33 +228,36 @@ def copies_budget(
     return _budget_schedules(spec, d, eps)
 
 
-def _implied_phase(c: np.ndarray, v: np.ndarray, spec: SuperpositionSpec) -> float:
-    """Phase phi with alpha e^{i phi} c[0] + beta c[1] prop. to |alpha| v[0] + |beta| v[1],
-    for the canonical vectors c and the column vectors v of two states."""
+def _implied_phase(c: np.ndarray, v: np.ndarray, spec: SuperpositionSpec) -> np.ndarray:
+    """Phases phi in [0, 2pi) with alpha e^{i phi} c[0] + beta c[1] prop. to
+    |alpha| v[0] + |beta| v[1], for the canonical vectors c (2, d) and the
+    column vectors v (2, ..., d) of two states: one phase per row of v."""
     phi = (
-        np.angle(np.vdot(c[0], v[0]))
-        - np.angle(np.vdot(c[1], v[1]))
+        np.angle(np.vecdot(c[0], v[0]))
+        - np.angle(np.vecdot(c[1], v[1]))
         - np.angle(spec.alpha)
         + np.angle(spec.beta)
     )
-    phi = float(np.mod(phi, 2.0 * np.pi))
-    return 0.0 if phi >= 2.0 * np.pi else phi  # mod can round up to the period
+    phi = np.mod(phi, 2.0 * np.pi)
+    return np.where(phi >= 2.0 * np.pi, 0.0, phi)  # mod can round up to the period
 
 
-def _check_vec_transfer(est_x: VectorEstimate, est_y: VectorEstimate) -> None:
-    # Close estimates must keep the same-index vectors close too.  They are
-    # close exactly when `select_r_paired` gave y the index of x, so the two
-    # estimates' vectors are the same-index vectors.
-    x = est_x.x
-    dist = trace_distance(x, est_y.x)
-    weight = x[np.arange(len(x)), est_x.r, est_x.r].real
-    bound = 2.0 / np.sqrt(weight) * np.sqrt(dist)
-    gap = row_norms(est_x.v - est_y.v)
-    broken = (dist < 1.0 / (2 * x.shape[-1])) & (gap > np.minimum(bound, np.sqrt(2.0)) + 1e-9)
-    if broken.any():
-        raise InvariantViolation(
-            f"vector gap {gap[broken][0]:.3e} exceeds transfer bound {bound[broken][0]:.3e}"
-        )
+def _pair_vecs(truth: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Column vectors of the true states (u, v), a (2, d, d) stack, at one index
+    pair (2,) or at every pair of an (n, 2) stack: row (s, k) is state s at pair k."""
+    idx = pairs.T
+    stacked = truth.reshape((2,) + (1,) * (idx.ndim - 1) + truth.shape[1:])
+    return vec_i(np.broadcast_to(stacked, idx.shape + truth.shape[1:]), idx)
+
+
+def _pair_targets(truth: np.ndarray, pairs, spec: SuperpositionSpec, phis=None) -> np.ndarray:
+    """Targets of one index pair (2,) or an (n, 2) stack of them on the true
+    states (u, v): the superposition of their canonical vectors at the phase
+    each pair implies, or at `phis`, one per pair."""
+    c = canonical_vec(truth)
+    if phis is None:
+        phis = _implied_phase(c, _pair_vecs(truth, pairs), spec)
+    return target_superposition(c[0], c[1], spec, phis)
 
 
 def _combine(vx: np.ndarray, vy: np.ndarray, spec: SuperpositionSpec) -> np.ndarray:
@@ -294,13 +287,10 @@ def _estimates(
     est_x = vector_tomography(
         oracle_u, sched_n, [seeding.child_seed(s, seeding.RUN, 0) for s in seeds]
     )
-    paired = est_x.x if spec.equal_magnitudes else None
     est_y = vector_tomography(
         oracle_v, sched_m, [seeding.child_seed(s, seeding.RUN, 1) for s in seeds],
-        paired_with=paired,
+        paired_with=est_x if spec.equal_magnitudes else None,
     )
-    if spec.equal_magnitudes:
-        _check_vec_transfer(est_x, est_y)
     return est_x, est_y
 
 
@@ -325,7 +315,7 @@ def random_superposition(
     return RandomSuperpositionOutcome(
         r=(int(est_x.r[0]), int(est_y.r[0])),
         state=_derived(PureDensity, outers(w[0])),
-        phi_r=_implied_phase(canonical_vec(x), vecs, spec),
+        phi_r=float(_implied_phase(canonical_vec(x), vecs, spec)),
     )
 
 
@@ -336,11 +326,8 @@ def superposition_error(
     spec: SuperpositionSpec,
 ) -> float:
     """Trace distance of an outcome to its per-index target on the true states."""
-    truth = np.stack((u.matrix, v.matrix))
-    c = canonical_vec(truth)
-    phi = _implied_phase(c, vec_i(truth, outcome.r), spec)
-    target = target_superposition(c[0], c[1], spec, phi)
-    return float(trace_distance(outcome.state.matrix, target.matrix))
+    target = _pair_targets(np.stack((u.matrix, v.matrix)), np.array(outcome.r), spec)
+    return float(trace_distance(outcome.state.matrix, target))
 
 
 def entangled_superposition(
@@ -372,9 +359,7 @@ def entangled_superposition(
         counts.update(zip(est_x.r.tolist(), est_y.r.tolist()))
     pairs = sorted(counts)
     truth = np.stack((_oracle_density(u).matrix, _oracle_density(v).matrix))
-    # Row (s, k) is state s at its index of the k-th pair.
-    vx, vy = vec_i(truth[:, None].repeat(len(pairs), axis=1), np.array(pairs).T)
-    states = outers(_combine(vx, vy, spec))
+    states = outers(_combine(*_pair_vecs(truth, np.array(pairs)), spec))
     return EntangledSuperposition(blocks={
         r: (counts[r] / trials, _derived(PureDensity, state)) for r, state in zip(pairs, states)
     })
@@ -391,23 +376,19 @@ def figure_of_merit(
 
     Each outcome is (weight, unnormalized operator); its target is the
     superposition of the true canonical vectors at the phase phis[r]
-    (default: the phase the index pair implies).  Outcomes with zero trace
-    contribute nothing.
+    (default: the phase the index pair implies).  All outcomes are scored
+    as one stack; those with zero weight or zero trace contribute nothing
+    and build no target.
     """
-    truth = np.stack((u.matrix, v.matrix))
-    c = canonical_vec(truth)
-    p_succ = sum(w * op.trace for w, op in outcomes.values())
+    w = np.array([weight for weight, _ in outcomes.values()], dtype=float)
+    tr = np.array([op.trace for _, op in outcomes.values()])
+    p_succ = np.sum(w * tr)
     if p_succ <= 0.0:
         raise ZeroFunctionalError("total success probability is zero")
-    total = 0.0
-    for r, (w, op) in outcomes.items():
-        tr = op.trace
-        if w == 0.0 or tr == 0.0:
-            continue
-        if phis is not None:
-            phi = phis[r]
-        else:
-            phi = _implied_phase(c, vec_i(truth, r), spec)
-        tgt = target_superposition(c[0], c[1], spec, phi)
-        total += w * float(trace_distance(op.matrix, tr * tgt.matrix))
-    return total / p_succ
+    keep = (w != 0.0) & (tr != 0.0)
+    kept = [r for r, k in zip(outcomes, keep) if k]
+    ops = np.stack([outcomes[r][1].matrix for r in kept])
+    phi = None if phis is None else np.array([phis[r] for r in kept])
+    targets = _pair_targets(np.stack((u.matrix, v.matrix)), np.array(kept), spec, phi)
+    errors = trace_distance(ops, tr[keep, None, None] * targets)
+    return float(np.sum(w[keep] * errors) / p_succ)

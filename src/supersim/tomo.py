@@ -30,9 +30,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import seeding
-from .errors import ValidationError
+from .errors import InvariantViolation, ValidationError
 from .calibration import lookup_constant, tail_exponent, TABLE_MAX_N
-from .linalg import PureDensity, dominant_pure
+from .linalg import PureDensity, dominant_pure, row_norms
 from .vecfun import select_r, select_r_paired, vec_i
 
 MAX_TOMO_DIM = 16
@@ -123,28 +123,31 @@ def _inversion_operator(d: int) -> np.ndarray:
 
 
 class StateOracle:
-    """Access to an unknown state through measurement statistics only."""
+    """Access to an unknown state through measurement statistics only.  Its
+    Born probabilities and the clipped table the draws use are computed once."""
 
     def __init__(self, rho: PureDensity):
         if rho.dim > MAX_TOMO_DIM:
             raise ValidationError(f"dim {rho.dim} exceeds tomography cap {MAX_TOMO_DIM}")
         self.__rho = rho
+        self.__p = _probabilities(rho.matrix)
+        draw = np.clip(self.__p, 0.0, None)
+        self.__draw = draw / draw.sum(axis=1, keepdims=True)
+        self.__p.flags.writeable = self.__draw.flags.writeable = False
 
     @property
     def dim(self) -> int:
         return self.__rho.dim
 
     def probabilities(self) -> np.ndarray:
-        """Born probabilities, one row per setting."""
-        return _probabilities(self.__rho.matrix)
+        """Born probabilities, one row per setting (read-only)."""
+        return self.__p
 
-    def sample(self, shots: int, seed: int, *path: int) -> np.ndarray:
-        """Counts of `shots` draws per setting; row s from stream (seed, SETTING, s, *path)."""
-        p = np.clip(self.probabilities(), 0.0, None)
-        p /= p.sum(axis=1, keepdims=True)
+    def sample(self, shots: int, seed: int) -> np.ndarray:
+        """Counts of `shots` draws per setting; row s from stream (seed, SETTING, s)."""
         return np.stack([
-            seeding.rng_for(seed, seeding.SETTING, s, *path).multinomial(shots, row)
-            for s, row in enumerate(p)
+            seeding.rng_for(seed, seeding.SETTING, s).multinomial(shots, row)
+            for s, row in enumerate(self.__draw)
         ])
 
 
@@ -192,7 +195,7 @@ def vector_tomography(
     oracle: StateOracle,
     schedule: Optional[TomographySchedule],
     seeds: Sequence[int],
-    paired_with: Optional[np.ndarray] = None,
+    paired_with: Optional[VectorEstimate] = None,
 ) -> VectorEstimate:
     """Estimate the oracle's state once per seed, as one stack, and emit each
     estimate's vector for its own index.
@@ -200,10 +203,11 @@ def vector_tomography(
     Row n samples from `seeds[n]`; a single run passes one seed and gets a
     stack of one.  A `schedule` of None means noiseless: the exact Born
     frequencies are inverted, once per seed, and the seeds are not used.
-    With `paired_with` (a stack of earlier estimates, one per seed), each
-    index is reused from its earlier estimate whenever the two are close;
-    this keeps two estimates of nearly equal states phase-consistent.
-    The vectors are `vec_i(x, r)`; later stages reuse them.
+    With `paired_with` (the earlier stage's estimates, one per seed), each
+    index is reused from its earlier estimate whenever the two are close
+    (`select_r_paired`), which keeps two estimates of nearly equal states
+    phase-consistent; the two vectors at a reused index must then obey the
+    vector transfer bound.  The vectors are `vec_i(x, r)`; later stages reuse them.
     """
     if schedule is None:
         p = oracle.probabilities()
@@ -211,8 +215,20 @@ def vector_tomography(
     else:
         counts = np.stack([oracle.sample(schedule.N, seed) for seed in seeds])
     x = reconstruct(counts)
-    r = select_r(x) if paired_with is None else select_r_paired(paired_with, x)
-    return VectorEstimate(x=x, r=r, v=vec_i(x, r))
+    if paired_with is None:
+        r = select_r(x)
+        return VectorEstimate(x=x, r=r, v=vec_i(x, r))
+    r, close, dist = select_r_paired(paired_with.x, paired_with.r, x)
+    v = vec_i(x, r)
+    weight = paired_with.x[np.arange(len(x)), paired_with.r, paired_with.r].real
+    bound = 2.0 / np.sqrt(weight) * np.sqrt(dist)
+    gap = row_norms(paired_with.v - v)
+    broken = close & (gap > np.minimum(bound, np.sqrt(2.0)) + 1e-9)
+    if broken.any():
+        raise InvariantViolation(
+            f"vector gap {gap[broken][0]:.3e} exceeds transfer bound {bound[broken][0]:.3e}"
+        )
+    return VectorEstimate(x=x, r=r, v=v)
 
 
 def _oracle_density(oracle: StateOracle) -> PureDensity:

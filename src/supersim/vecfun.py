@@ -78,14 +78,17 @@ def select_r(x: np.ndarray) -> np.ndarray:
     return np.where(found, r, diag.argmax(axis=-1))
 
 
-def select_r_paired(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Index rule for the second of two estimates, pairwise over two stacks.
+def select_r_paired(x: np.ndarray, r_x: np.ndarray, y: np.ndarray) -> tuple:
+    """Index rule for the second of two estimates, pairwise over two stacks,
+    given the first one's indices r_x = select_r(x).
 
-    Reuses x's index when the estimates are close (trace distance below
-    1/(2d)), otherwise falls back to y's own rule.
+    Reuses x's index where the estimates are close (trace distance below
+    1/(2d)), otherwise falls back to y's own rule.  Returns the indices, the
+    close mask and the distances, which the transfer check reuses.
     """
-    close = trace_distance(x, y) < 1.0 / (2 * x.shape[-1])
-    return np.where(close, select_r(x), select_r(y))
+    dist = trace_distance(x, y)
+    close = dist < 1.0 / (2 * x.shape[-1])
+    return np.where(close, r_x, select_r(y)), close, dist
 
 
 def discontinuity_probe(eps: float) -> float:

@@ -74,8 +74,7 @@ class TestDerivedValues:
             for v in vectors:
                 StateVector(v)
             state = target_superposition(canonical_vec(x), canonical_vec(y), spec, 1.3)
-            assert type(state) is PureDensity
-            PureDensity(state.matrix)
+            PureDensity(state)
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_CANDIDATES))
     def test_builtin_candidate_outputs(self, name, rng):

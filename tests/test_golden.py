@@ -1,4 +1,5 @@
-"""Committed CLI reports must be reproduced byte for byte, and meet the schema.
+"""Committed CLI reports must be reproduced byte for byte, and meet the schema;
+the sweep cases must reproduce their committed SHA-256 digests.
 
 The cases and the regenerator live in `tests/golden/regen.py`.
 """
@@ -28,3 +29,10 @@ def test_report_matches_golden(name, tmp_path):
 
 def test_every_report_has_a_case_and_every_case_a_report():
     assert sorted(p.stem for p in regen.REPORTS.glob("*.json")) == sorted(regen.CASES)
+
+
+def test_sweep_matches_digests():
+    want = regen.SWEEP_DIGESTS.read_text()
+    got = regen.format_digests(regen.sweep_digests())
+    moved = sorted(set(got.splitlines()) - set(want.splitlines()))
+    assert got == want, f"{len(moved)} sweep cases moved: {[line.split()[1] for line in moved]}"

@@ -28,7 +28,7 @@ from supersim.obstruction import (
     phase_loop,
     winding_number,
 )
-from supersim.superpose import SuperpositionSpec, target_superposition, threshold
+from supersim.superpose import SuperpositionSpec, threshold
 from supersim.vecfun import canonical_vec
 
 EQUAL = SuperpositionSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -234,8 +234,9 @@ def ref_best_phase_error(A, x, spec):
     rho, perp = ref_candidate_output(A, x)
     cross = np.conj(spec.alpha) * spec.beta * (x.amplitudes.conj() @ rho @ perp.amplitudes)
     phi = float(np.angle(cross)) if abs(cross) > 1e-15 else 0.0
-    target = target_superposition(x.amplitudes, perp.amplitudes, spec, phi)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(rho - target.matrix))))
+    w = spec.alpha * np.exp(1j * phi) * x.amplitudes + spec.beta * perp.amplitudes
+    w = w / np.linalg.norm(w)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(rho - np.outer(w, w.conj())))))
 
 
 def ref_winding_along(A, x0, k, n):

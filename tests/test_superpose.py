@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_density, haar_vector
-from supersim import seeding, tomo
+from supersim import seeding, superpose, tomo, vecfun
 from supersim.calibration import TABLE_MAX_N, _dim_entry, tail_exponent
 from supersim.errors import (
     BudgetExceededError,
     DegenerateSuperpositionError,
+    InvariantViolation,
     ValidationError,
     ZeroFunctionalError,
 )
@@ -45,7 +46,7 @@ from supersim.tomo import (
     schedule_for,
     vector_tomography,
 )
-from supersim.vecfun import vec_i
+from supersim.vecfun import canonical_vec, vec_i
 
 EQUAL = SuperpositionSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -65,7 +66,7 @@ class TestSpec:
 class TestTargetSuperposition:
     def test_plus_state(self):
         out = target_superposition(np.eye(2)[0], np.eye(2)[1], EQUAL, 0.0)
-        assert np.allclose(out.matrix, np.full((2, 2), 0.5))
+        assert np.allclose(out, np.full((2, 2), 0.5))
 
     def test_cancellation_raises(self):
         spec = SuperpositionSpec(1.0, -1.0)
@@ -76,7 +77,7 @@ class TestTargetSuperposition:
         spec = SuperpositionSpec(1.0, 1.0j)
         out = target_superposition(np.eye(2)[0], np.eye(2)[1], spec, 0.0)
         expected = outer(StateVector(np.array([1.0, 1.0j]) / np.sqrt(2)))
-        assert np.allclose(out.matrix, expected.matrix)
+        assert np.allclose(out, expected.matrix)
 
 
 class TestThresholdAndFloor:
@@ -309,10 +310,9 @@ def reference_entangled(u, v, spec, schedules, seed, trials):
         est_x = vector_tomography(
             StateOracle(u), schedules[0], [seeding.child_seed(trial_seed, seeding.RUN, 0)]
         )
-        paired = est_x.x if spec.equal_magnitudes else None
         est_y = vector_tomography(
             StateOracle(v), schedules[1], [seeding.child_seed(trial_seed, seeding.RUN, 1)],
-            paired_with=paired,
+            paired_with=est_x if spec.equal_magnitudes else None,
         )
         r = (int(est_x.r[0]), int(est_y.r[0]))
         counts[r] = counts.get(r, 0) + 1
@@ -369,15 +369,122 @@ class TestEntangledStack:
         )
         assert len(counted) == calls
 
+    @pytest.mark.parametrize("trials, chunks", [(10, 1), (TRIAL_CHUNK + 1, 2)])
+    def test_one_pair_distance_per_chunk(self, monkeypatch, rng, trials, chunks):
+        # Equal magnitudes take the paired index rule; its distances also feed
+        # the vector transfer check, so each chunk measures them once.
+        counted = []
+
+        def counting(a, b):
+            counted.append(a.shape)
+            return distance(a, b)
+
+        distance = vecfun.trace_distance
+        for module in (vecfun, superpose):
+            monkeypatch.setattr(module, "trace_distance", counting)
+        u, v = haar_density(rng, 2), haar_density(rng, 2)
+        entangled_superposition(
+            StateOracle(u), StateOracle(v), EQUAL, copies_budget(EQUAL, 2, 1.0), 5, trials
+        )
+        assert len(counted) == chunks
+
+    def test_born_probabilities_once_per_oracle(self, monkeypatch, rng):
+        counted = []
+
+        def counting(matrix):
+            counted.append(matrix.shape)
+            return born(matrix)
+
+        born = tomo._probabilities
+        monkeypatch.setattr(tomo, "_probabilities", counting)
+        u, v = haar_density(rng, 2), haar_density(rng, 2)
+        entangled_superposition(
+            StateOracle(u), StateOracle(v), EQUAL, copies_budget(EQUAL, 2, 1.0), 5,
+            TRIAL_CHUNK + 1,
+        )
+        assert len(counted) == 2
+
+
+class TestVectorTransferCheck:
+    def test_a_vector_past_the_bound_is_refused(self, monkeypatch, rng):
+        # The second stage's vector is negated: its index is x's (the states are
+        # equal, so the estimates are close), but the vectors are 2 apart.
+        calls = []
+
+        def flip_second(x, i):
+            calls.append(i)
+            return vec(x, i) * (-1 if len(calls) == 2 else 1)
+
+        vec = tomo.vec_i
+        monkeypatch.setattr(tomo, "vec_i", flip_second)
+        u = haar_density(rng, 3)
+        with pytest.raises(InvariantViolation, match="transfer bound"):
+            random_superposition(StateOracle(u), StateOracle(u), EQUAL, None, 0)
+
+
+def ref_figure_of_merit(outcomes, u, v, spec, phis=None):
+    """The per-outcome loop the stacked scoring replaced, kept as the reference,
+    with each phase from `np.vdot` and each target from its formula."""
+    c = [canonical_vec(u.matrix), canonical_vec(v.matrix)]
+    p_succ = sum(w * op.trace for w, op in outcomes.values())
+    total = 0.0
+    for r, (w, op) in outcomes.items():
+        tr = op.trace
+        if w == 0.0 or tr == 0.0:
+            continue
+        if phis is not None:
+            phi = phis[r]
+        else:
+            vu, vv = vec_i(u.matrix, r[0]), vec_i(v.matrix, r[1])
+            phi = (np.angle(np.vdot(c[0], vu)) - np.angle(np.vdot(c[1], vv))
+                   - np.angle(spec.alpha) + np.angle(spec.beta))
+        t = spec.alpha * np.exp(1j * phi) * c[0] + spec.beta * c[1]
+        t = t / np.linalg.norm(t)
+        diff = op.matrix - tr * np.outer(t, t.conj())
+        total += w * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return total / p_succ
+
 
 class TestFigureOfMerit:
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("with_phis", [False, True])
+    def test_stack_matches_the_per_outcome_loop(self, d, with_phis):
+        rng = np.random.default_rng(70 + d)
+        spec = SuperpositionSpec(0.8 * np.exp(0.3j), 0.6 * np.exp(-1.2j))
+        u, v = haar_density(rng, d), haar_density(rng, d)
+        pairs = [(i, j) for i in range(d) for j in range(d)]
+        outcomes = {}
+        for r in pairs:
+            rho = haar_density(rng, d).matrix
+            outcomes[r] = (rng.uniform(), DensityOperator(rng.uniform() * rho))
+        outcomes[pairs[0]] = (0.0, outcomes[pairs[0]][1])  # zero weight
+        outcomes[pairs[-1]] = (0.3, DensityOperator(np.zeros((d, d))))  # zero trace
+        phis = {r: rng.uniform(0, 2 * np.pi) for r in pairs} if with_phis else None
+        got = figure_of_merit(outcomes, u, v, spec, phis)
+        assert got == pytest.approx(ref_figure_of_merit(outcomes, u, v, spec, phis),
+                                    rel=0, abs=1e-14)
+
+    def test_ignored_outcomes_build_no_target(self, monkeypatch, rng):
+        built = []
+
+        def counting(u, v, spec, phi):
+            built.append(np.shape(phi))
+            return target(u, v, spec, phi)
+
+        target = superpose.target_superposition
+        monkeypatch.setattr(superpose, "target_superposition", counting)
+        u, v = haar_density(rng, 2), haar_density(rng, 2)
+        outcomes = {(0, 0): (0.5, DensityOperator(u.matrix)),
+                    (0, 1): (0.0, DensityOperator(v.matrix)),
+                    (1, 1): (0.5, DensityOperator(np.zeros((2, 2))))}
+        figure_of_merit(outcomes, u, v, EQUAL)
+        assert built == [(1,)]
+
     def test_perfect_match(self, rng):
         u, v = haar_density(rng, 2), haar_density(rng, 2)
         phis = {(0, 0): 1.1}
-        from supersim.vecfun import canonical_vec
-
         target = target_superposition(canonical_vec(u.matrix), canonical_vec(v.matrix), EQUAL, 1.1)
-        outcomes = {(0, 0): (1.0, DensityOperator(0.7 * target.matrix))}
+        outcomes = {(0, 0): (1.0, DensityOperator(0.7 * target))}
         assert figure_of_merit(outcomes, u, v, EQUAL, phis) == pytest.approx(0.0, abs=1e-12)
 
     def test_default_phase_is_the_one_the_index_pair_implies(self, rng):
@@ -396,14 +503,14 @@ class TestFigureOfMerit:
     def test_opposite_phase_scores_two(self):
         u, v = outer(basis_state(2, 0)), outer(basis_state(2, 1))
         minus = target_superposition(np.eye(2)[0], np.eye(2)[1], EQUAL, np.pi)
-        outcomes = {(0, 0): (1.0, DensityOperator(minus.matrix))}
+        outcomes = {(0, 0): (1.0, DensityOperator(minus))}
         assert figure_of_merit(outcomes, u, v, EQUAL, {(0, 0): 0.0}) == pytest.approx(2.0)
 
     def test_zero_trace_outcome_harmless(self, rng):
         u, v = outer(basis_state(2, 0)), outer(basis_state(2, 1))
         plus = target_superposition(np.eye(2)[0], np.eye(2)[1], EQUAL, 0.0)
         outcomes = {
-            (0, 0): (0.5, DensityOperator(plus.matrix)),
+            (0, 0): (0.5, DensityOperator(plus)),
             (0, 1): (0.5, DensityOperator(np.zeros((2, 2)))),
         }
         merit = figure_of_merit(outcomes, u, v, EQUAL, {(0, 0): 0.0, (0, 1): 0.0})
@@ -412,8 +519,9 @@ class TestFigureOfMerit:
     def test_zero_success_raises(self, rng):
         u, v = outer(basis_state(2, 0)), outer(basis_state(2, 1))
         outcomes = {(0, 0): (1.0, DensityOperator(np.zeros((2, 2))))}
-        with pytest.raises(ZeroFunctionalError):
-            figure_of_merit(outcomes, u, v, EQUAL)
+        for case in (outcomes, {}):
+            with pytest.raises(ZeroFunctionalError):
+                figure_of_merit(case, u, v, EQUAL)
 
 
 class TestRenormalizationInequality:

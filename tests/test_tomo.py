@@ -12,6 +12,7 @@ from supersim.tomo import (
     MAX_TOMO_DIM,
     StateOracle,
     TomographySchedule,
+    VectorEstimate,
     _from_coordinates,
     _inversion_operator,
     _probabilities,
@@ -224,7 +225,7 @@ class TestGuarantee:
         rho = haar_density(rng, 2)
         schedule = schedule_for(2, 10**5)
         first = vector_tomography(StateOracle(rho), schedule, seeds=[1])
-        second = vector_tomography(StateOracle(rho), schedule, seeds=[2], paired_with=first.x)
+        second = vector_tomography(StateOracle(rho), schedule, seeds=[2], paired_with=first)
         assert second.r == first.r
 
     def test_vector_matches_truth_index(self, rng):
@@ -238,12 +239,13 @@ class TestGuarantee:
     def test_a_stack_of_seeds_is_each_seed_alone(self, rng, d):
         oracle, schedule = StateOracle(haar_density(rng, d)), schedule_for(d, 1000)
         seeds = list(range(40, 52))
-        paired = vector_tomography(oracle, schedule, [s + 100 for s in seeds]).x
+        paired = vector_tomography(oracle, schedule, [s + 100 for s in seeds])
         for pair in (None, paired):
             est = vector_tomography(oracle, schedule, seeds, paired_with=pair)
             for n, seed in enumerate(seeds):
-                one = vector_tomography(oracle, schedule, [seed],
-                                        paired_with=None if pair is None else pair[n:n + 1])
+                row = None if pair is None else VectorEstimate(
+                    pair.x[n:n + 1], pair.r[n:n + 1], pair.v[n:n + 1])
+                one = vector_tomography(oracle, schedule, [seed], paired_with=row)
                 assert np.array_equal(est.x[n], one.x[0])
                 assert est.r[n] == one.r[0]
                 assert np.array_equal(est.v[n], one.v[0])

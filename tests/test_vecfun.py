@@ -80,12 +80,12 @@ class TestSelectR:
     def test_paired_rule_reuses_close(self, rng):
         rho = outer(StateVector(np.sqrt(np.array([0.45, 0.55])))).matrix
         near = outer(StateVector(np.sqrt(np.array([0.46, 0.54])))).matrix
-        assert select_r_paired(rho, near) == select_r(rho)
+        assert select_r_paired(rho, select_r(rho), near)[0] == select_r(rho)
 
     def test_paired_rule_far(self):
         x = outer(basis_state(2, 0)).matrix
         y = outer(basis_state(2, 1)).matrix
-        assert select_r_paired(x, y) == select_r(y) == 1
+        assert select_r_paired(x, select_r(x), y)[0] == select_r(y) == 1
 
 
 class TestDiscontinuityProbe:
@@ -185,8 +185,8 @@ class TestStackKernelsMatchTheScans:
         noise = rng.normal(size=xs.shape) * 0.3 / d**2
         for ys in (dominant_pure(xs + noise + noise.swapaxes(1, 2)), xs[rng.permutation(len(xs))]):
             want = [ref_select_r_paired(x, y) for x, y in zip(xs, ys)]
-            assert np.array_equal(select_r_paired(xs, ys), want)
-            assert [select_r_paired(x, y) for x, y in zip(xs, ys)] == want
+            assert np.array_equal(select_r_paired(xs, select_r(xs), ys)[0], want)
+            assert [select_r_paired(x, select_r(x), y)[0] for x, y in zip(xs, ys)] == want
 
     @pytest.mark.parametrize("d", DIMS)
     def test_dominant_pure(self, d):
