@@ -1,7 +1,7 @@
 """Simulation toolkit for approximate superposition of unknown quantum states.
 
 Submodules:
-  linalg       states, density operators, trace-norm geometry, tensor tools
+  linalg       states, density operators, trace-norm geometry, tensor product
   vecfun       canonical vector choices for pure density matrices
   tomo         measurement sampling, reconstruction, calibrated schedules
   superpose    superposition pipeline, copy budgets, figure of merit
@@ -15,7 +15,6 @@ from .linalg import (
     PureDensity,
     StateVector,
     outer,
-    partial_trace,
     tensor,
     trace_distance,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "figure_of_merit",
     "obstruction_audit",
     "outer",
-    "partial_trace",
     "random_superposition",
     "target_superposition",
     "tensor",

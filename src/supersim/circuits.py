@@ -1,8 +1,10 @@
 """Postselection circuits and small bra-ket identities.
 
 A circuit is a dense unitary on N+M state copies plus an ancilla, followed
-by a success projector; applying it to a pair of pure inputs yields the
-unnormalized conditional output on the kept registers.  The module also
+by a success projector; applying it to a pair of unit kets yields the
+unnormalized conditional output on the kept registers, a plain array.  The
+input is pure, so the circuit runs on the ket and forms one density at the
+end; the inputs' global phases cancel in it.  The module also
 carries the qubit identities used throughout (Bell-contraction teleport
 factor, conjugated bra, orthogonal complement) and the `g_functional`
 diagnostic that probes a candidate superposition map along the complement
@@ -31,14 +33,7 @@ from .errors import (
     ValidationError,
     ZeroFunctionalError,
 )
-from .linalg import (
-    DensityOperator,
-    PureDensity,
-    _derived,
-    kron_all,
-    outers,
-    partial_trace,
-)
+from .linalg import StateVector, outers
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
 
@@ -98,7 +93,15 @@ class PostselectionCircuit:
         return int(np.prod(self.factor_dims))
 
 
-def _circuit_input(c: PostselectionCircuit, u: PureDensity, v: PureDensity) -> np.ndarray:
+def apply_postselection(
+    c: PostselectionCircuit, u: StateVector, v: StateVector
+) -> np.ndarray:
+    """Unnormalized conditional output tr_K[Pi V (in) V^dag Pi] on the kept
+    registers, for the pure input u^N (x) v^M (x) |0>_anc.
+
+    The output is a a^dag, where a = Pi V |in> has its kept axes moved to
+    the front and reshaped to (d_keep, rest).
+    """
     if u.dim != c.d or v.dim != c.d:
         raise DimensionMismatchError(
             f"input dims ({u.dim}, {v.dim}) do not match circuit dim {c.d}"
@@ -106,22 +109,17 @@ def _circuit_input(c: PostselectionCircuit, u: PureDensity, v: PureDensity) -> n
     if c.total_dim > MAX_DIM:
         raise TensorCapError(f"total dimension {c.total_dim} exceeds cap {MAX_DIM}")
     n, m = c.copies
-    factors = [u.matrix] * n + [v.matrix] * m
+    ket = np.ones(1, dtype=np.complex128)
+    for factor in [u.amplitudes] * n + [v.amplitudes] * m:
+        ket = np.kron(ket, factor)
     if c.d_anc > 1:
-        anc = np.zeros((c.d_anc, c.d_anc), dtype=np.complex128)
-        anc[0, 0] = 1.0
-        factors.append(anc)
-    return kron_all(factors)
-
-
-def apply_postselection(
-    c: PostselectionCircuit, u: PureDensity, v: PureDensity
-) -> DensityOperator:
-    """Unnormalized conditional output tr_K[Pi V (in) V^dag Pi]."""
-    rho = _circuit_input(c, u, v)
-    conditioned = c.pi_succ @ c.V @ rho @ c.V.conj().T @ c.pi_succ
-    full = _derived(DensityOperator, (conditioned + conditioned.conj().T) / 2)
-    return partial_trace(full, c.keep, c.factor_dims)
+        ket = np.kron(ket, np.eye(c.d_anc)[0])
+    dims = c.factor_dims
+    keep = sorted(set(c.keep))
+    rest = [k for k in range(len(dims)) if k not in keep]
+    a = (c.pi_succ @ (c.V @ ket)).reshape(dims).transpose(keep + rest)
+    a = a.reshape(int(np.prod([dims[k] for k in keep])), -1)
+    return a @ a.conj().T
 
 
 def _qubit(x: np.ndarray) -> np.ndarray:
@@ -181,14 +179,14 @@ def g_functional(A: AMap, xs: np.ndarray) -> np.ndarray:
     """Complement-direction matrix element of the normalized candidate outputs.
 
     For each row x of the (n, 2) stack, <x_perp| A(xx^dag, perp perp^dag)/tr |x>
-    with the bra taken as the raw sigma_y contraction (no conjugation).  Both
+    with the bra taken as the raw sigma_y contraction (no conjugation), which
+    is the conjugate of the complement ket `_candidate_output` returns.  Both
     contractions are 1-homogeneous in x, so for any candidate that sees only
     the density matrices the value picks up a factor e^{2i theta} when x
     does e^{i theta}.
     """
-    rhos, _ = _candidate_output(A, xs)
-    bras = orthogonal_complement(xs)
-    return (bras[:, None, :] @ rhos @ xs[:, :, None])[:, 0, 0]
+    rhos, perps = _candidate_output(A, xs)
+    return (perps.conj()[:, None, :] @ rhos @ xs[:, :, None])[:, 0, 0]
 
 
 def g_normalized(A: AMap, xs: np.ndarray) -> np.ndarray:

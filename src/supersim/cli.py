@@ -81,6 +81,8 @@ def _load_density(path: str) -> PureDensity:
         return outer(state)
     if isinstance(state, PureDensity):
         return state
+    if not state.trace > 0.0:
+        raise ValidationError(f"density trace {state.trace} must be positive to normalize")
     return PureDensity(state.matrix / state.trace)
 
 
@@ -137,22 +139,22 @@ def _cmd_superpose(args) -> dict:
             "N": schedules[0].N, "M": schedules[1].N, "target_N": t_n, "target_M": t_m,
         }
     if args.entangled:
-        ent = entangled_superposition(
+        blocks = entangled_superposition(
             oracle_u, oracle_v, spec, schedules, args.seed, trials=args.trials
         )
         results["blocks"] = [
             {
                 "r": list(r),
                 "weight": w,
-                "state": encode_complex(state.matrix),
+                "state": encode_complex(state),
             }
-            for r, (w, state) in sorted(ent.blocks.items())
+            for r, (w, state) in sorted(blocks.items())
         ]
     else:
         out = random_superposition(oracle_u, oracle_v, spec, schedules, args.seed)
         results["r"] = list(out.r)
         results["phi_r"] = out.phi_r
-        results["state"] = encode_complex(out.state.matrix)
+        results["state"] = encode_complex(out.state)
         results["merit"] = superposition_error(out, u, v, spec)
     return {
         "subcommand": "superpose",

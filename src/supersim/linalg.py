@@ -6,12 +6,14 @@ Conventions fixed here and relied on everywhere else:
   pure states sit at distance 2;
 * tensor products order subsystems with the leftmost factor most
   significant;
-* all values are immutable after construction and all operations are pure;
-* invariants are checked once, at the trust boundary: the public
-  constructors and `load_state` validate, while matrices the package derives
-  from validated values are built by `_derived` and not re-checked;
-* a `StateVector` is always a unit vector; derived vectors and raw
-  contractions stay plain complex arrays;
+* the state types are immutable after construction and all operations
+  are pure;
+* invariants are checked once, at the trust boundary: an instance of a
+  state type means its constructor's checks passed.  The public
+  constructors and `load_state` validate; `outer` is the one exception, as
+  the projector of a checked unit vector is pure by construction;
+* derived vectors, derived densities and raw contractions stay plain
+  complex arrays;
 * the kernels estimates pass through (`dominant_pure`, `trace_distance`,
   `canonical_phase`, `row_norms`, `outers`) take a stack, one matrix or
   vector per row of the leading axes, and a single one is a stack with no
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -115,17 +117,17 @@ class PureDensity(DensityOperator):
             raise ValidationError(f"not idempotent (defect {idem_defect:.2e})")
 
 
-def _derived(cls, matrix: np.ndarray):
-    """A density `cls` around a matrix derived from validated values, left unchecked."""
-    state = object.__new__(cls)
-    object.__setattr__(state, "matrix", _frozen(matrix))
-    return state
-
-
 def outer(psi: StateVector) -> PureDensity:
-    """|psi><psi| for a unit psi (its constructor checked the norm)."""
+    """|psi><psi| for a unit psi (its constructor checked the norm).
+
+    The projector of a checked unit vector is pure by construction, so the
+    `PureDensity` checks are skipped: they cost 40-100 us per state at
+    d = 2..16 (timeit, one Xeon core).
+    """
     a = psi.amplitudes
-    return _derived(PureDensity, np.outer(a, a.conj()))
+    state = object.__new__(PureDensity)
+    object.__setattr__(state, "matrix", _frozen(np.outer(a, a.conj())))
+    return state
 
 
 def outers(kets: np.ndarray) -> np.ndarray:
@@ -155,39 +157,13 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> Union[float, np.ndarray]:
     return np.sum(np.abs(np.linalg.eigvalsh(a - b)), axis=-1)
 
 
-def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    """Kronecker product; leftmost factor is the most significant index."""
-    combined = a.dim * b.dim
+def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two square matrices; leftmost factor is the most
+    significant index."""
+    combined = a.shape[0] * b.shape[0]
     if combined > MAX_DIM:
         raise TensorCapError(f"combined dim {combined} exceeds cap {MAX_DIM}")
-    return _derived(DensityOperator, np.kron(a.matrix, b.matrix))
-
-
-def kron_all(matrices: Iterable[np.ndarray]) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for m in matrices:
-        out = np.kron(out, m)
-    return out
-
-
-def partial_trace(
-    rho: DensityOperator, keep: Iterable[int], dims: Sequence[int]
-) -> DensityOperator:
-    """Trace out all factors not in `keep`; kept factors stay in order."""
-    dims = [int(d) for d in dims]
-    n = len(dims)
-    if int(np.prod(dims)) != rho.dim:
-        raise DimensionMismatchError(f"factor dims {dims} do not multiply to {rho.dim}")
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise ValidationError(f"keep indices {keep} out of range for {n} factors")
-    t = rho.matrix.reshape(dims + dims)
-    row = list(range(n))
-    col = [n + i if i in keep else i for i in range(n)]
-    out_labels = [i for i in keep] + [n + i for i in keep]
-    reduced = np.einsum(t, row + col, out_labels)
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return _derived(DensityOperator, reduced.reshape(d_keep, d_keep))
+    return np.kron(a, b)
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -269,11 +245,13 @@ def load_state(path: Union[str, Path]) -> StateLike:
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read state file {path}: {exc}") from exc
     try:
-        dim = int(payload["dim"])
+        dim = payload["dim"]
         kind = payload["kind"]
         data = decode_complex(payload["data"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed state file {path}: {exc}") from exc
+    if type(dim) is not int:  # a JSON integer; bool is a subclass of int
+        raise ValidationError(f"dim must be an integer, got {dim!r}")
     if kind == "vector":
         if data.shape != (dim,):
             raise ValidationError(f"expected {dim} amplitudes, got shape {data.shape}")

@@ -11,8 +11,9 @@ its per-index targets.
 The pipeline takes two `StateOracle`s and the two tomography schedules,
 either those `copies_budget` returns or None for noiseless tomography;
 nothing else restates that choice.  The oracles are the trust boundary.
-The vectors the pipeline derives from them (the estimates' vectors, the
-combined output, the targets) are not checked again.
+The vectors and densities the pipeline derives from them (the estimates'
+vectors, the output state, the entangled blocks, the targets) are plain
+arrays and are not checked again.
 
 Estimates travel as stacks, one row per seed: `_estimates` runs both
 stages for a list of seeds.  `random_superposition` passes one seed, and
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import Counter
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .errors import (
     ValidationError,
     ZeroFunctionalError,
 )
-from .linalg import DensityOperator, PureDensity, _derived, outers, row_norms, trace_distance
+from .linalg import PureDensity, outers, row_norms, trace_distance
 from .tomo import (
     MIN_SHOTS,
     StateOracle,
@@ -103,25 +104,12 @@ class SuperpositionSpec:
 
 @dataclass(frozen=True)
 class RandomSuperpositionOutcome:
-    """One pipeline run: the index pair, the state, and the implied phase."""
+    """One pipeline run: the index pair, the (d, d) output density, and the
+    implied phase."""
 
     r: IndexPair
-    state: PureDensity
+    state: np.ndarray
     phi_r: float  # in [0, 2pi), as `_implied_phase` guarantees
-
-
-@dataclass(frozen=True)
-class EntangledSuperposition:
-    """Mixture over index pairs: r -> (weight, block state)."""
-
-    blocks: Mapping[IndexPair, Tuple[float, PureDensity]]
-
-    def __post_init__(self):
-        weights = [w for w, _ in self.blocks.values()]
-        if any(w < 0 for w in weights):
-            raise ValidationError("negative block weight")
-        if abs(sum(weights) - 1.0) > 1e-10:
-            raise ValidationError(f"block weights sum to {sum(weights)}, not 1")
 
 
 def target_superposition(u: np.ndarray, v: np.ndarray, spec: SuperpositionSpec, phi) -> np.ndarray:
@@ -314,7 +302,7 @@ def random_superposition(
     x, vecs = np.concatenate((est_x.x, est_y.x)), np.concatenate((est_x.v, est_y.v))
     return RandomSuperpositionOutcome(
         r=(int(est_x.r[0]), int(est_y.r[0])),
-        state=_derived(PureDensity, outers(w[0])),
+        state=outers(w[0]),
         phi_r=float(_implied_phase(canonical_vec(x), vecs, spec)),
     )
 
@@ -327,7 +315,7 @@ def superposition_error(
 ) -> float:
     """Trace distance of an outcome to its per-index target on the true states."""
     target = _pair_targets(np.stack((u.matrix, v.matrix)), np.array(outcome.r), spec)
-    return float(trace_distance(outcome.state.matrix, target))
+    return float(trace_distance(outcome.state, target))
 
 
 def entangled_superposition(
@@ -337,8 +325,9 @@ def entangled_superposition(
     schedules: Optional[Schedules],
     seed: int,
     trials: int,
-) -> EntangledSuperposition:
-    """Block mixture over index pairs with Monte-Carlo weights.
+) -> Dict[IndexPair, Tuple[float, np.ndarray]]:
+    """Block mixture over index pairs with Monte-Carlo weights:
+    r -> (weight, (d, d) block density), in index-pair order.
 
     Each trial runs the full pipeline on a fresh seed and contributes its
     index pair; the trials share the schedules and run as stacks of up to
@@ -358,15 +347,13 @@ def entangled_superposition(
         est_x, est_y = _estimates(u, v, spec, schedules, seeds)
         counts.update(zip(est_x.r.tolist(), est_y.r.tolist()))
     pairs = sorted(counts)
-    truth = np.stack((_oracle_density(u).matrix, _oracle_density(v).matrix))
+    truth = np.stack((_oracle_density(u), _oracle_density(v)))
     states = outers(_combine(*_pair_vecs(truth, np.array(pairs)), spec))
-    return EntangledSuperposition(blocks={
-        r: (counts[r] / trials, _derived(PureDensity, state)) for r, state in zip(pairs, states)
-    })
+    return {r: (counts[r] / trials, state) for r, state in zip(pairs, states)}
 
 
 def figure_of_merit(
-    outcomes: Mapping[IndexPair, Tuple[float, DensityOperator]],
+    outcomes: Mapping[IndexPair, Tuple[float, np.ndarray]],
     u: PureDensity,
     v: PureDensity,
     spec: SuperpositionSpec,
@@ -374,20 +361,20 @@ def figure_of_merit(
 ) -> float:
     """Success-normalized summed trace error against per-index targets.
 
-    Each outcome is (weight, unnormalized operator); its target is the
+    Each outcome is (weight, unnormalized (d, d) density); its target is the
     superposition of the true canonical vectors at the phase phis[r]
     (default: the phase the index pair implies).  All outcomes are scored
     as one stack; those with zero weight or zero trace contribute nothing
     and build no target.
     """
     w = np.array([weight for weight, _ in outcomes.values()], dtype=float)
-    tr = np.array([op.trace for _, op in outcomes.values()])
+    tr = np.array([np.trace(op).real for _, op in outcomes.values()])
     p_succ = np.sum(w * tr)
     if p_succ <= 0.0:
         raise ZeroFunctionalError("total success probability is zero")
     keep = (w != 0.0) & (tr != 0.0)
     kept = [r for r, k in zip(outcomes, keep) if k]
-    ops = np.stack([outcomes[r][1].matrix for r in kept])
+    ops = np.stack([outcomes[r][1] for r in kept])
     phi = None if phis is None else np.array([phis[r] for r in kept])
     targets = _pair_targets(np.stack((u.matrix, v.matrix)), np.array(kept), spec, phi)
     errors = trace_distance(ops, tr[keep, None, None] * targets)

@@ -231,6 +231,6 @@ def vector_tomography(
     return VectorEstimate(x=x, r=r, v=v)
 
 
-def _oracle_density(oracle: StateOracle) -> PureDensity:
+def _oracle_density(oracle: StateOracle) -> np.ndarray:
     # Truth access for entangled_superposition's noiseless block states.
-    return oracle._StateOracle__rho
+    return oracle._StateOracle__rho.matrix

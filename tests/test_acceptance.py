@@ -114,13 +114,13 @@ def test_criterion_3_tensor_power_lipschitz():
     rng = np.random.default_rng(3)
     violations = 0
     for _ in range(100):
-        rho = outer(StateVector(seeding.haar_state(rng, 2)))
-        sigma = outer(StateVector(seeding.haar_state(rng, 2)))
-        base = trace_distance(rho.matrix, sigma.matrix)
+        rho = outer(StateVector(seeding.haar_state(rng, 2))).matrix
+        sigma = outer(StateVector(seeding.haar_state(rng, 2))).matrix
+        base = trace_distance(rho, sigma)
         rho_n, sigma_n = rho, sigma
         for n in range(2, 5):
             rho_n, sigma_n = tensor(rho_n, rho), tensor(sigma_n, sigma)
-            if trace_distance(rho_n.matrix, sigma_n.matrix) > n * base + 1e-10:
+            if trace_distance(rho_n, sigma_n) > n * base + 1e-10:
                 violations += 1
     report("criterion-3 tensor-power bound", violations == 0, f"{violations} violations")
 

@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from conftest import haar_density, haar_vector
+from conftest import haar_vector
 from supersim.errors import DimensionMismatchError, InvalidMapError, ValidationError
 from supersim.circuits import (
     PostselectionCircuit,
@@ -51,28 +53,28 @@ class TestCircuitTypes:
 
 class TestApplyPostselection:
     def test_identity_returns_first_input(self, rng):
-        u, v = haar_density(rng, 2), haar_density(rng, 2)
+        u, v = haar_vector(rng, 2), haar_vector(rng, 2)
         out = apply_postselection(identity_circuit(), u, v)
-        assert np.allclose(out.matrix, u.matrix, atol=1e-12)
+        assert np.allclose(out, outer(u).matrix, atol=1e-12)
 
     def test_zero_projector(self, rng):
         c = PostselectionCircuit(
             V=np.eye(4), pi_succ=np.zeros((4, 4)), d=2, copies=(1, 1)
         )
-        out = apply_postselection(c, haar_density(rng, 2), haar_density(rng, 2))
-        assert np.allclose(out.matrix, 0.0)
+        out = apply_postselection(c, haar_vector(rng, 2), haar_vector(rng, 2))
+        assert np.allclose(out, 0.0)
 
     def test_swap_returns_second_input(self, rng):
         c = PostselectionCircuit(V=SWAP, pi_succ=np.eye(4), d=2, copies=(1, 1))
-        u, v = haar_density(rng, 2), haar_density(rng, 2)
+        u, v = haar_vector(rng, 2), haar_vector(rng, 2)
         out = apply_postselection(c, u, v)
-        assert np.allclose(out.matrix, v.matrix, atol=1e-12)
+        assert np.allclose(out, outer(v).matrix, atol=1e-12)
 
     def test_trace_bounded(self, rng):
         p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
         c = PostselectionCircuit(V=SWAP, pi_succ=p, d=2, copies=(1, 1))
-        out = apply_postselection(c, haar_density(rng, 2), haar_density(rng, 2))
-        assert -1e-12 <= out.trace <= 1.0 + 1e-12
+        out = apply_postselection(c, haar_vector(rng, 2), haar_vector(rng, 2))
+        assert -1e-12 <= np.trace(out).real <= 1.0 + 1e-12
 
     def test_continuity(self, rng):
         c = PostselectionCircuit(
@@ -84,12 +86,78 @@ class TestApplyPostselection:
             bumped = base.amplitudes + delta
             bumped = StateVector(bumped / np.linalg.norm(bumped))
             gap_in = trace_distance(outer(base).matrix, outer(bumped).matrix)
-            v = haar_density(rng, 2)
+            v = haar_vector(rng, 2)
             gap_out = trace_distance(
-                apply_postselection(c, outer(base), v).matrix,
-                apply_postselection(c, outer(bumped), v).matrix,
+                apply_postselection(c, base, v), apply_postselection(c, bumped, v)
             )
             assert gap_out <= 4.0 * gap_in + 1e-12
+
+    def test_input_dimension_checked(self, rng):
+        with pytest.raises(DimensionMismatchError):
+            apply_postselection(identity_circuit(), haar_vector(rng, 2), haar_vector(rng, 3))
+
+
+def random_circuit(rng, d, copies, d_anc, keep):
+    """A Haar-random unitary and a random-rank projector on the circuit's space."""
+    total = d ** sum(copies) * d_anc
+
+    def haar_unitary():
+        q, r = np.linalg.qr(rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total)))
+        return q * (r.diagonal() / np.abs(r.diagonal()))
+
+    span = haar_unitary()[:, : rng.integers(1, total)]
+    return PostselectionCircuit(
+        V=haar_unitary(), pi_succ=span @ span.conj().T, d=d, copies=copies, d_anc=d_anc, keep=keep
+    )
+
+
+def reference_postselection(c, u, v):
+    """The density path the ket path replaced, kept as the reference: the
+    Kronecker product of the input densities, Pi V rho V^dag Pi, and an
+    einsum partial trace over the registers not kept."""
+    n, m = c.copies
+    factors = [outer(u).matrix] * n + [outer(v).matrix] * m
+    if c.d_anc > 1:
+        anc = np.zeros((c.d_anc, c.d_anc), dtype=complex)
+        anc[0, 0] = 1.0
+        factors.append(anc)
+    rho = functools.reduce(np.kron, factors)
+    conditioned = c.pi_succ @ c.V @ rho @ c.V.conj().T @ c.pi_succ
+    conditioned = (conditioned + conditioned.conj().T) / 2
+    dims = c.factor_dims
+    k = len(dims)
+    keep = sorted(set(c.keep))
+    col = [k + i if i in keep else i for i in range(k)]
+    reduced = np.einsum(
+        conditioned.reshape(dims + dims), list(range(k)) + col, keep + [k + i for i in keep]
+    )
+    d_keep = int(np.prod([dims[i] for i in keep]))
+    return reduced.reshape(d_keep, d_keep)
+
+
+class TestKetPathMatchesDensityPath:
+    @pytest.mark.parametrize("d_anc", [1, 2])
+    @pytest.mark.parametrize("copies", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_circuits(self, d, copies, d_anc):
+        rng = np.random.default_rng(100 * d + 10 * sum(copies) + copies[0] + d_anc)
+        last = sum(copies) - (d_anc == 1)
+        for keep in [(0,), (last,), (0, last)]:
+            for _ in range(3):
+                c = random_circuit(rng, d, copies, d_anc, keep)
+                u, v = haar_vector(rng, d), haar_vector(rng, d)
+                out = apply_postselection(c, u, v)
+                want = reference_postselection(c, u, v)
+                assert out.shape == want.shape
+                assert np.max(np.abs(out - want)) <= 1e-12
+                DensityOperator(out)
+
+    def test_global_phases_cancel(self, rng):
+        c = random_circuit(rng, 2, (2, 1), 2, (0, 3))
+        u, v = haar_vector(rng, 2), haar_vector(rng, 2)
+        rotated = StateVector(np.exp(1.3j) * u.amplitudes)
+        out = apply_postselection(c, u, v)
+        assert np.max(np.abs(apply_postselection(c, rotated, v) - out)) <= 1e-12
 
 
 class TestBraKetIdentities:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -86,6 +87,18 @@ class TestTomo:
         code, out = run(capsys, "tomo", "--state", str(bad))
         assert code == 2
         assert "error" in json.loads(out)
+
+    def test_zero_trace_density_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "zero_trace.json"
+        path.write_text(json.dumps({"dim": 2, "kind": "density", "data": [[0, 0]] * 4}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way
+            code = main(["tomo", "--state", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.out)["error"]
+        assert error["message"] == "density trace 0.0 must be positive to normalize"
+        assert captured.err == ""
 
 
 class TestSuperpose:

@@ -1,11 +1,14 @@
-"""Every top-level import is used, and every private module-level name too.
+"""Every top-level import is used, every private module-level name too, and
+state types are built unchecked in one place only.
 
 No linter ships with the package, so this scans the source with `ast`: a
 name bound by a module-level import must be referenced somewhere in the
 same module, and a private name (one leading underscore) defined at a
 module's top level in `src/supersim` must be referenced somewhere in the
 package outside its own definition.  `supersim/__init__.py` is skipped by
-the import scan because its imports are re-exports.
+the import scan because its imports are re-exports.  A state instance means
+its constructor's checks passed, so `__new__`, which skips them, is called
+only in `linalg.outer`.
 """
 
 import ast
@@ -91,3 +94,50 @@ def test_private_scan_flags_a_dead_name():
         "b": "from a import _imported\nimport a\na._attr()\n",
     }
     assert unused_private_names(sources) == ["a._dead"]
+
+
+STATE_CLASSES = {"StateVector", "DensityOperator", "PureDensity"}
+
+
+def unchecked_constructions(sources: dict) -> list:
+    """Functions of `sources` (module name -> source) that call `__new__` on
+    `object` or on a state class, as "module.function" of the innermost
+    enclosing function."""
+    found = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.stack = module, []
+
+        def visit_FunctionDef(self, node):
+            self.stack.append(node.name)
+            self.generic_visit(node)
+            self.stack.pop()
+
+        def visit_Call(self, node):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "__new__"
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id in STATE_CLASSES | {"object"}):
+                found.append(f"{self.module}.{self.stack[-1] if self.stack else '<module>'}")
+            self.generic_visit(node)
+
+    for module, source in sources.items():
+        Visitor(module).visit(ast.parse(source))
+    return sorted(found)
+
+
+def test_states_built_unchecked_only_in_outer():
+    assert unchecked_constructions({p.stem: p.read_text() for p in PACKAGE}) == ["linalg.outer"]
+
+
+def test_unchecked_scan_flags_a_derived_helper():
+    sources = {
+        "linalg": "def outer(psi):\n    return object.__new__(PureDensity)\n"
+                  "def _derived(cls, matrix):\n    state = object.__new__(cls)\n"
+                  "    return state\n",
+        "superpose": "def run():\n    def block():\n        return PureDensity.__new__(PureDensity)\n"
+                     "    return block()\n",
+        "tomo": "def fine():\n    return PureDensity(m)\n",
+    }
+    assert unchecked_constructions(sources) == ["linalg._derived", "linalg.outer", "superpose.block"]
