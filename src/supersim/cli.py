@@ -191,6 +191,7 @@ def _cmd_audit(args) -> dict:
             "alpha": encode_complex(spec.alpha),
             "beta": encode_complex(spec.beta),
             "samples": args.samples,
+            "x0": args.x0,
         },
         "results": {
             "winding_constant": report.winding_constant,

@@ -94,7 +94,7 @@ class SuperpositionSpec:
     @property
     def scale(self) -> float:
         """sqrt(|alpha|^2 + |beta|^2), the unit of the coefficient tolerances
-        (not of the copy budget, which reads the absolute |beta|)."""
+        and of the |beta| the copy budget reads."""
         return (abs(self.alpha) ** 2 + abs(self.beta) ** 2) ** 0.5
 
     @property
@@ -155,7 +155,7 @@ def budget_thresholds(spec: SuperpositionSpec, d: int, eps: float) -> Tuple[floa
         t_n = eps / (512.0 * d * d)
     else:
         t_n = (eps / 8.0) * ((a - b) / (a + b)) ** 2
-    t_m = eps / (16.0 * b)
+    t_m = eps / (16.0 * b / spec.scale)  # the output depends on (alpha, beta) / scale
     return t_n, t_m
 
 

@@ -3,19 +3,16 @@
 Measurement model: for dimension d, one computational-basis setting plus an
 X-type and a Y-type two-level rotation for every index pair (j, k), given by
 those pairs alone: `_probabilities` is the closed-form Born rule of all of
-them.  The family is informationally complete; the inversion is the
-pseudoinverse of that same linear map, taking frequencies to Hermitian
-coordinates, and the matrix is then purified to its dominant eigenvector.
-Shot noise is multinomial per setting, drawn from named counter-based
-streams, so every result is a pure function of (inputs, seed).
+them.  The family is informationally complete; `reconstruct` inverts that
+same linear map by least squares, in closed form, and purifies the matrix to
+its dominant eigenvector.  Shot noise is multinomial per setting, drawn from
+named counter-based streams, so every result is a pure function of (inputs, seed).
 
 Counts travel as one int64 array with a row per setting, in setting order,
-and estimates as stacks: `reconstruct` maps (..., S, d) counts to (..., d, d)
-estimates, and `vector_tomography` estimates an oracle once per seed of a
-list, so a single run is a stack of one, with the bits it would have alone.
+and estimates as stacks, one row per seed of `vector_tomography`, so a
+single run is a stack of one, with the bits it would have alone.
 `radii` is the one definition of the calibrated radii and failure credit,
-for one shot count or a whole grid of them; `schedule_for` is its one-cell
-case.
+for one shot count or a whole grid of them; `schedule_for` is its one-cell case.
 A `StateOracle` is the only way in: the dimension cap is checked once, when
 one is built, and the state stays behind its measurements.  The estimates
 and their vectors are derived from the counts and not checked again.
@@ -77,16 +74,19 @@ def setting_count(d: int) -> int:
 @lru_cache(maxsize=None)
 def _layout(d: int) -> tuple:
     """Once per d: the pairs (j, k), j < k, in setting order, the entries their
-    settings move in `_probabilities`, and the entries `_from_coordinates` fills."""
+    settings move in `_probabilities`, and the order that takes a matrix's
+    diagonal, every m_jk, then every m_kj to its row-major entries."""
     i, (j, k) = np.arange(d), np.triu_indices(d, 1)
     x = np.arange(1, setting_count(d), 2)  # X rows; each pair's Y row follows
     moved = (np.concatenate((x, x, x + 1, x + 1)), np.concatenate((j, k, j, k)))
-    return j, k, moved, (np.concatenate((i, j, k)), np.concatenate((i, k, j)))
+    return j, k, moved, np.argsort(np.concatenate((i * (d + 1), j * d + k, k * d + j)))
 
 
 # The rotations' entries are 1/sqrt(2), so the Born rule weighs each of j and
 # k by (1/sqrt(2))**2, which rounds to 0.5000000000000001, not to 0.5.
 _HALF = (1.0 / np.sqrt(2.0)) ** 2
+# The weights of a pair's readings X_j, X_k, Y_j, Y_k in m_jk (see `reconstruct`).
+_OFF_WEIGHTS = np.array([1.0, -1.0, -1.0j, 1.0j]) / (4 * _HALF)
 
 
 def _probabilities(matrix: np.ndarray) -> np.ndarray:
@@ -104,22 +104,14 @@ def _probabilities(matrix: np.ndarray) -> np.ndarray:
     return p
 
 
-def _from_coordinates(theta: np.ndarray, d: int) -> np.ndarray:
-    """Hermitian matrix (or stack) from its d*d coordinates in the last axis:
-    the diagonal, then x, y per pair (j, k) with m_jk = x - iy, m_kj = x + iy."""
-    x, y = theta[..., d::2], theta[..., d + 1::2]
-    values = np.concatenate((theta[..., :d], x - 1j * y, x + 1j * y), axis=-1)
-    mat = np.zeros(theta.shape[:-1] + (d, d), dtype=np.complex128)
-    # Added to zeros, as in a sum of basis matrices: a -0.0 part gives +0.0.
-    mat[(...,) + _layout(d)[3]] += values
-    return mat
-
-
 @lru_cache(maxsize=None)
 def _inversion_operator(d: int) -> np.ndarray:
-    """Pseudoinverse of the map from Hermitian coordinates to stacked probabilities."""
-    forward = _probabilities(_from_coordinates(np.eye(d * d), d))
-    return np.linalg.pinv(forward.reshape(d * d, -1).T)
+    """Once per d, the (d, S*d) rows taking stacked frequencies to the diagonal
+    of `reconstruct`; the readings' weights in rhs_i are the Born rule of |i><i|."""
+    weights = _probabilities(np.eye(d)[:, None] * np.eye(d)).reshape(d, -1)
+    b = 4 * _HALF**2
+    a = 1 + (d - 1) * (d - 2) + b * (d - 2)
+    return (weights - b / (a + b * d) * weights.sum(axis=0)) / a
 
 
 class StateOracle:
@@ -152,13 +144,26 @@ class StateOracle:
 
 
 def reconstruct(counts: np.ndarray) -> np.ndarray:
-    """Least-squares inversion of row-normalized counts or probabilities, then
-    purification, for a (..., S, d) stack; the inversion is a batched matvec,
-    since the matrix product `freqs @ inv.T` rounds differently."""
+    """Least-squares inversion of row-normalized counts or probabilities, in
+    closed form, then purification, for a (..., S, d) stack.
+
+    With h = `_HALF` and m_jk = x - iy, pair (j, k)'s X row reads X_j, X_k =
+    h*(m_jj + m_kk) +/- 2h*x at outcomes j, k, its Y row Y_j, Y_k the same
+    with y, and every other reading is m_ii of its outcome i.  So m_jk =
+    ((X_j - X_k) - i(Y_j - Y_k)) / (4h).  m_ii has n = 1 + (d-1)(d-2) direct
+    readings and weight h in the four of each of its d - 1 pairs, so the
+    diagonal's normal matrix is a*I + b*J, b = 4h^2, a = n + b*(d - 2), and
+    the diagonal is (rhs - b*sum(rhs)/(a + b*d)) / a, where rhs_i sums i's
+    direct readings and h*(X_j + X_k + Y_j + Y_k) of each pair holding i.
+    Both products are batched matvecs: a row of a stack keeps its bits alone.
+    """
     d = counts.shape[-1]
     freqs = counts / counts.sum(axis=-1, keepdims=True)
-    flat = freqs.reshape(freqs.shape[:-2] + (-1,))
-    return dominant_pure(_from_coordinates((_inversion_operator(d) @ flat[..., None])[..., 0], d))
+    _, _, moved, order = _layout(d)
+    off = _OFF_WEIGHTS @ freqs[(...,) + moved].reshape(freqs.shape[:-2] + (4, -1))
+    diag = (_inversion_operator(d) @ freqs.reshape(freqs.shape[:-2] + (-1, 1)))[..., 0]
+    m = np.concatenate((diag, off, off.conj()), axis=-1)[..., order]
+    return dominant_pure(m.reshape(freqs.shape[:-2] + (d, d)))
 
 
 def radii(d: int, N, kappa) -> tuple:
@@ -197,17 +202,15 @@ def vector_tomography(
     seeds: Sequence[int],
     paired_with: Optional[VectorEstimate] = None,
 ) -> VectorEstimate:
-    """Estimate the oracle's state once per seed, as one stack, and emit each
-    estimate's vector for its own index.
+    """Estimate the oracle's state once per seed (row n from `seeds[n]`), as
+    one stack, with each estimate's index and vector `vec_i(x, r)`.
 
-    Row n samples from `seeds[n]`; a single run passes one seed and gets a
-    stack of one.  A `schedule` of None means noiseless: the exact Born
-    frequencies are inverted, once per seed, and the seeds are not used.
-    With `paired_with` (the earlier stage's estimates, one per seed), each
-    index is reused from its earlier estimate whenever the two are close
-    (`select_r_paired`), which keeps two estimates of nearly equal states
-    phase-consistent; the two vectors at a reused index must then obey the
-    vector transfer bound.  The vectors are `vec_i(x, r)`; later stages reuse them.
+    A `schedule` of None means noiseless: the exact Born frequencies are
+    inverted, once per seed, and the seeds are not used.  With `paired_with`
+    (the earlier stage's estimates, one per seed), each index is reused from
+    its earlier estimate whenever the two are close (`select_r_paired`),
+    which keeps two estimates of nearly equal states phase-consistent; the
+    two vectors at a reused index must then obey the vector transfer bound.
     """
     if schedule is None:
         p = oracle.probabilities()

@@ -67,15 +67,11 @@ def vec_i(x: np.ndarray, i) -> np.ndarray:
 
 
 def select_r(x: np.ndarray) -> np.ndarray:
-    """Smallest index whose diagonal entry reaches 1/d, per matrix of a stack.
-
-    The comparison is a sharp >= on the stored floats; at least one
-    diagonal qualifies because they sum to 1, and where float rounding
-    leaves every diagonal a hair under 1/d the largest one is taken.
-    """
+    """Smallest index whose diagonal reaches 1/d, per unit-trace matrix of a
+    stack; within TOL.nonzero below 1/d counts as reaching it, so a tie at 1/d
+    (a uniform-modulus state) gives index 0 however the last bits round."""
     diag = x.diagonal(axis1=-2, axis2=-1).real
-    r, found = _first(diag >= 1.0 / x.shape[-1])
-    return np.where(found, r, diag.argmax(axis=-1))
+    return _first(diag >= 1.0 / x.shape[-1] - TOL.nonzero)[0]
 
 
 def select_r_paired(x: np.ndarray, r_x: np.ndarray, y: np.ndarray) -> tuple:

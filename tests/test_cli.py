@@ -226,6 +226,24 @@ class TestCoefficientScale:
             assert res["merit"] == pytest.approx(first["merit"], abs=1e-12)
             assert np.allclose(res["state"], first["state"], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_sampled_superpose_budgets(self, capsys, pair):
+        # The copy budget reads |beta| in units of the scale, as the output does.
+        states = Path(__file__).parent / "golden" / "states"
+        budgets = []
+        for c in self.SCALES:
+            alpha, beta = _scaled(pair, c)
+            code, out = run(
+                capsys, "superpose", "--u", str(states / "u3.json"), "--v", str(states / "v3.json"),
+                f"--alpha={alpha}", f"--beta={beta}", "--seed", "1",
+            )
+            assert code == 0, out
+            budgets.append(json.loads(out)["results"]["budgets"])
+        for budget in budgets[1:]:
+            assert (budget["N"], budget["M"]) == (budgets[0]["N"], budgets[0]["M"])
+            for target in ("target_N", "target_M"):
+                assert budget[target] == pytest.approx(budgets[0][target], rel=1e-12)
+
     @pytest.mark.parametrize("candidate", ["ideal", "mollified", "constant"])
     @pytest.mark.parametrize("pair", PAIRS)
     def test_audit(self, capsys, candidate, pair):

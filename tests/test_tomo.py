@@ -5,23 +5,21 @@ import numpy as np
 import pytest
 
 from conftest import haar_density
-from supersim import calibration, seeding
+from supersim import calibration, seeding, tomo
 from supersim.errors import ValidationError
-from supersim.linalg import StateVector, basis_state, outer, trace_distance
+from supersim.linalg import StateVector, basis_state, outer, outers, trace_distance
 from supersim.tomo import (
     MAX_TOMO_DIM,
     StateOracle,
     TomographySchedule,
     VectorEstimate,
-    _from_coordinates,
-    _inversion_operator,
     _probabilities,
     reconstruct,
     schedule_for,
     setting_count,
     vector_tomography,
 )
-from supersim.vecfun import vec_i
+from supersim.vecfun import select_r, vec_i
 
 # The measurement model written out in full: the dense setting unitaries, the
 # dense Hermitian basis of the coordinates, and the generic Born rule.  The
@@ -98,17 +96,6 @@ class TestSettings:
                 assert np.max(np.abs(p - ref)) <= np.finfo(float).eps, d
                 assert np.all(p >= 0)
                 assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("d", [2, 3, 5, 8])
-    def test_from_coordinates_matches_the_accumulate_loop(self, rng, d):
-        for _ in range(10):
-            theta = rng.normal(size=d * d)
-            theta[rng.random(d * d) < 0.2] = 0.0
-            theta[rng.random(d * d) < 0.2] = -0.0
-            mat = np.zeros((d, d), dtype=np.complex128)
-            for coeff, h in zip(theta, _reference_hermitian_basis(d)):
-                mat += coeff * h
-            assert _from_coordinates(theta, d).tobytes() == mat.tobytes()
 
 
 class TestSchedule:
@@ -202,10 +189,33 @@ def test_stacked_reference_rows_match_scalar_build(d):
     assert np.array_equal(_stacked_reference_rows(d), _reference_rows(d))
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
-def test_inversion_operator_matches_scalar_build(d):
-    rows = _stacked_reference_rows(d) if d == 16 else _reference_rows(d)
-    assert np.array_equal(_inversion_operator(d), np.linalg.pinv(rows))
+@pytest.mark.parametrize("d", range(2, 17))
+def test_closed_form_matches_the_pseudoinverse(monkeypatch, d):
+    # The least-squares solution by the pseudoinverse of the reference rows,
+    # against `reconstruct` before purification, on stacks of 1 and 256.
+    rows = _stacked_reference_rows(d) if d > 5 else _reference_rows(d)
+    inv, herm = np.linalg.pinv(rows), np.stack(_reference_hermitian_basis(d))
+    monkeypatch.setattr(tomo, "dominant_pure", lambda m: m)
+    rng = np.random.default_rng(d)
+    for n in (1, 256):
+        counts = rng.integers(0, 1000, (n, setting_count(d), d))
+        freqs = counts / counts.sum(axis=-1, keepdims=True)
+        want = np.einsum("nc,cij->nij", freqs.reshape(n, -1) @ inv.T, herm)
+        assert np.max(np.abs(reconstruct(counts) - want)) <= 1e-13
+    p = _probabilities(haar_density(rng, d).matrix)
+    want = np.einsum("c,cij->ij", inv @ p.reshape(-1), herm)
+    assert np.max(np.abs(reconstruct(p) - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 16])
+def test_tie_index_ignores_the_last_bit(d):
+    # Every diagonal of a uniform-modulus state is 1/d: one-ulp nudges of its
+    # Born probabilities must not move the index off 0.
+    rng = np.random.default_rng(d)
+    kets = np.exp(2j * np.pi * rng.uniform(size=(200, d))) / np.sqrt(d)
+    p = _probabilities(outers(kets))
+    nudged = np.nextafter(p, rng.choice([0.0, 1.0], p.shape))
+    assert np.all(select_r(reconstruct(nudged)) == 0)
 
 
 class TestGuarantee:

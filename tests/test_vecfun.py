@@ -120,9 +120,9 @@ def ref_select_r(x):
     d = x.shape[0]
     diag = x.diagonal().real
     for i in range(d):
-        if diag[i] >= 1.0 / d:
+        if diag[i] >= 1.0 / d - TOL.nonzero:
             return i
-    return int(np.argmax(diag))
+    raise AssertionError("a unit-trace matrix has a diagonal of at least 1/d")
 
 
 def ref_select_r_paired(x, y):
