@@ -1,7 +1,7 @@
 """Simulation toolkit for approximate superposition of unknown quantum states.
 
 Submodules:
-  linalg       states, density operators, trace-norm geometry, tensor product
+  linalg       states, density operators, trace-norm geometry
   vecfun       canonical vector choices for pure density matrices
   tomo         measurement sampling, reconstruction, calibrated schedules
   superpose    superposition pipeline, copy budgets, figure of merit
@@ -15,7 +15,6 @@ from .linalg import (
     PureDensity,
     StateVector,
     outer,
-    tensor,
     trace_distance,
 )
 from .superpose import (
@@ -48,7 +47,6 @@ __all__ = [
     "outer",
     "random_superposition",
     "target_superposition",
-    "tensor",
     "threshold",
     "trace_distance",
     "trace_floor",

@@ -48,6 +48,7 @@ from .obstruction import (
 )
 from .superpose import (
     SuperpositionSpec,
+    _pair_targets,
     budget_thresholds,
     copies_budget,
     entangled_superposition,
@@ -113,8 +114,6 @@ def _cmd_tomo(args) -> dict:
     if not args.exact:
         results["schedule"] = dataclasses.asdict(schedule)
     return {
-        "subcommand": "tomo",
-        "seed": args.seed,
         "inputs": {"state": args.state, "shots": args.shots, "exact": args.exact},
         "results": results,
     }
@@ -139,16 +138,13 @@ def _cmd_superpose(args) -> dict:
             "N": schedules[0].N, "M": schedules[1].N, "target_N": t_n, "target_M": t_m,
         }
     if args.entangled:
-        blocks = entangled_superposition(
+        weights = entangled_superposition(
             oracle_u, oracle_v, spec, schedules, args.seed, trials=args.trials
         )
+        states = _pair_targets(u, v, list(weights), spec)
         results["blocks"] = [
-            {
-                "r": list(r),
-                "weight": w,
-                "state": encode_complex(state),
-            }
-            for r, (w, state) in sorted(blocks.items())
+            {"r": list(r), "weight": w, "state": encode_complex(state)}
+            for (r, w), state in zip(weights.items(), states)
         ]
     else:
         out = random_superposition(oracle_u, oracle_v, spec, schedules, args.seed)
@@ -157,8 +153,6 @@ def _cmd_superpose(args) -> dict:
         results["state"] = encode_complex(out.state)
         results["merit"] = superposition_error(out, u, v, spec)
     return {
-        "subcommand": "superpose",
-        "seed": args.seed,
         "inputs": {
             "u": args.u,
             "v": args.v,
@@ -184,8 +178,6 @@ def _cmd_audit(args) -> dict:
         rows = [(j / args.samples, e) for j, e in enumerate(errors.tolist())]
         _write_csv(args.csv, ["t", "error"], rows)
     return {
-        "subcommand": "audit",
-        "seed": args.seed,
         "inputs": {
             "candidate": args.candidate,
             "alpha": encode_complex(spec.alpha),
@@ -214,8 +206,6 @@ def _cmd_probe(args) -> dict:
             args.csv, ["eps", "gap"], [(float(e), discontinuity_probe(float(e))) for e in grid]
         )
     return {
-        "subcommand": "probe",
-        "seed": args.seed,
         "inputs": {"eps": args.eps},
         "results": {"gap": value, "closed_form": exact},
         "checks": [{"name": "matches_closed_form", "passed": bool(abs(value - exact) < 1e-10)}],
@@ -239,8 +229,6 @@ def _cmd_identities(args) -> dict:
         {"name": name, "passed": bool(err <= 1e-12)} for name, err in sorted(worst.items())
     ]
     return {
-        "subcommand": "identities",
-        "seed": args.seed,
         "inputs": {"samples": args.samples},
         "results": {"worst_errors": worst},
         "checks": checks,
@@ -292,8 +280,6 @@ def _cmd_table1(args) -> dict:
     achievable = pipeline_rate >= 0.9
     impossible = all(v == "obstructed" for v in verdicts.values())
     return {
-        "subcommand": "table1",
-        "seed": args.seed,
         "inputs": {"runs": args.runs, "eps": eps, "dim": d},
         "results": {
             "random_superposition_success_rate": pipeline_rate,
@@ -386,6 +372,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         report = _HANDLERS[args.subcommand](args)
+        report.update(subcommand=args.subcommand, seed=args.seed)
         _emit_report(report, args.out)
         return 0
     except SystemExit as exc:  # --help printed the usage

@@ -14,5 +14,5 @@ class Tolerances:
 
 TOL = Tolerances()
 
-# Tensor products refuse combined dimensions beyond this (2**20 matrix entries).
+# Circuit inputs refuse total dimensions beyond this (2**20 matrix entries).
 MAX_DIM = 1024

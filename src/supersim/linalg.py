@@ -29,11 +29,10 @@ from typing import Union
 
 import numpy as np
 
-from .config import MAX_DIM, TOL
+from .config import TOL
 from .errors import (
     DimensionMismatchError,
     NormalizationError,
-    TensorCapError,
     ValidationError,
 )
 
@@ -71,9 +70,8 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian PSD matrix.  Trace may be any nonnegative value: circuit
-    outputs are unnormalized and a fully postselected-away branch is the
-    zero operator."""
+    """Hermitian PSD matrix.  Trace may be any nonnegative value, so a density
+    file need not be normalized (the CLI's `_load_density` normalizes it)."""
 
     matrix: np.ndarray
 
@@ -155,15 +153,6 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> Union[float, np.ndarray]:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shapes {a.shape} and {b.shape} differ")
     return np.sum(np.abs(np.linalg.eigvalsh(a - b)), axis=-1)
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square matrices; leftmost factor is the most
-    significant index."""
-    combined = a.shape[0] * b.shape[0]
-    if combined > MAX_DIM:
-        raise TensorCapError(f"combined dim {combined} exceeds cap {MAX_DIM}")
-    return np.kron(a, b)
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:

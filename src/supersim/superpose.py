@@ -10,10 +10,12 @@ its per-index targets.
 
 The pipeline takes two `StateOracle`s and the two tomography schedules,
 either those `copies_budget` returns or None for noiseless tomography;
-nothing else restates that choice.  The oracles are the trust boundary.
-The vectors and densities the pipeline derives from them (the estimates'
-vectors, the output state, the entangled blocks, the targets) are plain
-arrays and are not checked again.
+nothing else restates that choice.  The oracles are the trust boundary, and
+the pipeline sees only their measurements: the true states enter only
+through the functions that score or label a run (`superposition_error`,
+`figure_of_merit`, `_pair_targets`), from the caller that loaded them.
+The vectors and densities it derives (the estimates' vectors, the output
+state, the targets) are plain arrays and are not checked again.
 
 Estimates travel as stacks, one row per seed: `_estimates` runs both
 stages for a list of seeds.  `random_superposition` passes one seed, and
@@ -28,9 +30,9 @@ target.  The second stage's cost is exactly twice the first's (scaling by
 Targets are plain (..., d, d) arrays that only `target_superposition`
 forms, for one pair of vectors or for the stacks the obstruction audit and
 `figure_of_merit` score.  `_pair_targets` gives the targets of index pairs
-on the true states.  One pair is the stack with no leading axes, so its
-coefficient alpha e^{i phi} stays a scalar product: numpy's array loop
-rounds it differently.  Each canonical and column vector is computed once
+on the true states, which are also the noiseless entangled blocks.  One
+pair is the stack with no leading axes, so its coefficient alpha e^{i phi}
+stays a scalar product: numpy's array loop rounds it differently.  Each canonical and column vector is computed once
 per run and passed on.
 """
 
@@ -58,7 +60,6 @@ from .tomo import (
     StateOracle,
     TomographySchedule,
     VectorEstimate,
-    _oracle_density,
     radii,
     schedule_for,
     vector_tomography,
@@ -238,13 +239,16 @@ def _pair_vecs(truth: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return vec_i(np.broadcast_to(stacked, idx.shape + truth.shape[1:]), idx)
 
 
-def _pair_targets(truth: np.ndarray, pairs, spec: SuperpositionSpec, phis=None) -> np.ndarray:
+def _pair_targets(
+    u: PureDensity, v: PureDensity, pairs, spec: SuperpositionSpec, phis=None
+) -> np.ndarray:
     """Targets of one index pair (2,) or an (n, 2) stack of them on the true
-    states (u, v): the superposition of their canonical vectors at the phase
+    states u, v: the superposition of their canonical vectors at the phase
     each pair implies, or at `phis`, one per pair."""
+    truth = np.stack((u.matrix, v.matrix))
     c = canonical_vec(truth)
     if phis is None:
-        phis = _implied_phase(c, _pair_vecs(truth, pairs), spec)
+        phis = _implied_phase(c, _pair_vecs(truth, np.asarray(pairs)), spec)
     return target_superposition(c[0], c[1], spec, phis)
 
 
@@ -314,7 +318,7 @@ def superposition_error(
     spec: SuperpositionSpec,
 ) -> float:
     """Trace distance of an outcome to its per-index target on the true states."""
-    target = _pair_targets(np.stack((u.matrix, v.matrix)), np.array(outcome.r), spec)
+    target = _pair_targets(u, v, outcome.r, spec)
     return float(trace_distance(outcome.state, target))
 
 
@@ -325,13 +329,14 @@ def entangled_superposition(
     schedules: Optional[Schedules],
     seed: int,
     trials: int,
-) -> Dict[IndexPair, Tuple[float, np.ndarray]]:
-    """Block mixture over index pairs with Monte-Carlo weights:
-    r -> (weight, (d, d) block density), in index-pair order.
+) -> Dict[IndexPair, float]:
+    """The index-pair distribution of the block mixture, with Monte-Carlo
+    weights: r -> weight, in index-pair order.
 
     Each trial runs the full pipeline on a fresh seed and contributes its
     index pair; the trials share the schedules and run as stacks of up to
-    `TRIAL_CHUNK` seeds.  Block states are the noiseless per-index outputs.
+    `TRIAL_CHUNK` seeds.  Only the weights are measured: block r's state is
+    the noiseless output at r, `_pair_targets` on the true states.
     Noiseless tomography (`schedules` None) is deterministic, so it runs one
     trial and gives a single block.  `schedules` are as for
     `random_superposition`.
@@ -346,10 +351,7 @@ def entangled_superposition(
                  for t in range(start, min(start + TRIAL_CHUNK, trials))]
         est_x, est_y = _estimates(u, v, spec, schedules, seeds)
         counts.update(zip(est_x.r.tolist(), est_y.r.tolist()))
-    pairs = sorted(counts)
-    truth = np.stack((_oracle_density(u), _oracle_density(v)))
-    states = outers(_combine(*_pair_vecs(truth, np.array(pairs)), spec))
-    return {r: (counts[r] / trials, state) for r, state in zip(pairs, states)}
+    return {r: counts[r] / trials for r in sorted(counts)}
 
 
 def figure_of_merit(
@@ -376,6 +378,6 @@ def figure_of_merit(
     kept = [r for r, k in zip(outcomes, keep) if k]
     ops = np.stack([outcomes[r][1] for r in kept])
     phi = None if phis is None else np.array([phis[r] for r in kept])
-    targets = _pair_targets(np.stack((u.matrix, v.matrix)), np.array(kept), spec, phi)
+    targets = _pair_targets(u, v, kept, spec, phi)
     errors = trace_distance(ops, tr[keep, None, None] * targets)
     return float(np.sum(w[keep] * errors) / p_succ)

@@ -14,8 +14,9 @@ single run is a stack of one, with the bits it would have alone.
 `radii` is the one definition of the calibrated radii and failure credit,
 for one shot count or a whole grid of them; `schedule_for` is its one-cell case.
 A `StateOracle` is the only way in: the dimension cap is checked once, when
-one is built, and the state stays behind its measurements.  The estimates
-and their vectors are derived from the counts and not checked again.
+one is built, and it keeps only the state's Born tables, so nothing reaches
+the state but its measurements.  The estimates and their vectors are derived
+from the counts and not checked again.
 """
 
 from __future__ import annotations
@@ -115,13 +116,13 @@ def _inversion_operator(d: int) -> np.ndarray:
 
 
 class StateOracle:
-    """Access to an unknown state through measurement statistics only.  Its
-    Born probabilities and the clipped table the draws use are computed once."""
+    """Access to an unknown state through measurement statistics only: it
+    keeps the Born probabilities and the clipped table the draws use, both
+    computed once, and not the state."""
 
     def __init__(self, rho: PureDensity):
         if rho.dim > MAX_TOMO_DIM:
             raise ValidationError(f"dim {rho.dim} exceeds tomography cap {MAX_TOMO_DIM}")
-        self.__rho = rho
         self.__p = _probabilities(rho.matrix)
         draw = np.clip(self.__p, 0.0, None)
         self.__draw = draw / draw.sum(axis=1, keepdims=True)
@@ -129,7 +130,7 @@ class StateOracle:
 
     @property
     def dim(self) -> int:
-        return self.__rho.dim
+        return self.__p.shape[1]
 
     def probabilities(self) -> np.ndarray:
         """Born probabilities, one row per setting (read-only)."""
@@ -232,8 +233,3 @@ def vector_tomography(
             f"vector gap {gap[broken][0]:.3e} exceeds transfer bound {bound[broken][0]:.3e}"
         )
     return VectorEstimate(x=x, r=r, v=v)
-
-
-def _oracle_density(oracle: StateOracle) -> np.ndarray:
-    # Truth access for entangled_superposition's noiseless block states.
-    return oracle._StateOracle__rho.matrix

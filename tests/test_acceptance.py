@@ -19,7 +19,6 @@ from supersim.linalg import (
     basis_state,
     outer,
     save_state,
-    tensor,
     trace_distance,
 )
 from supersim.obstruction import (
@@ -119,7 +118,7 @@ def test_criterion_3_tensor_power_lipschitz():
         base = trace_distance(rho, sigma)
         rho_n, sigma_n = rho, sigma
         for n in range(2, 5):
-            rho_n, sigma_n = tensor(rho_n, rho), tensor(sigma_n, sigma)
+            rho_n, sigma_n = np.kron(rho_n, rho), np.kron(sigma_n, sigma)
             if trace_distance(rho_n, sigma_n) > n * base + 1e-10:
                 violations += 1
     report("criterion-3 tensor-power bound", violations == 0, f"{violations} violations")

@@ -22,7 +22,6 @@ from supersim.linalg import (
     load_state,
     outer,
     save_state,
-    tensor,
 )
 from supersim.obstruction import BUILTIN_CANDIDATES, MAX_LOOP_SAMPLES
 from supersim.superpose import SuperpositionSpec, _combine, target_superposition
@@ -53,7 +52,7 @@ class TestDerivedValues:
         u, v = haar_density(rng, 2), haar_density(rng, 3)
         noisy = u.matrix + 0.01 * rng.normal(size=(2, 2))
         PureDensity(dominant_pure(noisy))
-        DensityOperator(tensor(u.matrix, v.matrix))
+        DensityOperator(np.kron(u.matrix, v.matrix))
         # `outer` is the one state built without its checks.
         assert type(u) is PureDensity
         assert not u.matrix.flags.writeable

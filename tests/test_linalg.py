@@ -10,7 +10,6 @@ from supersim.config import TOL
 from supersim.errors import (
     DimensionMismatchError,
     NormalizationError,
-    TensorCapError,
     ValidationError,
 )
 from supersim.linalg import (
@@ -23,7 +22,6 @@ from supersim.linalg import (
     load_state,
     outer,
     save_state,
-    tensor,
     trace_distance,
 )
 
@@ -114,16 +112,6 @@ class TestTraceDistance:
 
 
 class TestTensor:
-    def test_product_trace(self, rng):
-        a, b = haar_density(rng, 2), haar_density(rng, 3)
-        t = tensor(a.matrix, b.matrix)
-        assert t.shape == (6, 6)
-        assert np.trace(t).real == pytest.approx(1.0)
-
-    def test_cap_enforced(self, rng):
-        with pytest.raises(TensorCapError):
-            tensor(haar_density(rng, 32).matrix, haar_density(rng, 64).matrix)
-
     def test_power_lipschitz(self, rng):
         # D(rho^n, sigma^n) <= n * D(rho, sigma)
         for _ in range(100):
@@ -132,7 +120,7 @@ class TestTensor:
             base = trace_distance(rho, sigma)
             rho_n, sigma_n = rho, sigma
             for n in range(2, 5):
-                rho_n, sigma_n = tensor(rho_n, rho), tensor(sigma_n, sigma)
+                rho_n, sigma_n = np.kron(rho_n, rho), np.kron(sigma_n, sigma)
                 assert trace_distance(rho_n, sigma_n) <= n * base + 1e-10
 
 

@@ -23,6 +23,7 @@ from supersim.superpose import (
     _SHOT_GRID,
     _budget_costs,
     _budget_schedules,
+    _pair_targets,
     budget_thresholds,
     copies_budget,
     entangled_superposition,
@@ -263,13 +264,11 @@ class TestRandomSuperposition:
 class TestEntangled:
     def test_exact_single_block(self):
         u, v = outer(basis_state(2, 0)), outer(basis_state(2, 1))
-        blocks = entangled_superposition(
+        weights = entangled_superposition(
             StateOracle(u), StateOracle(v), EQUAL, None, 1, trials=5
         )
-        assert len(blocks) == 1
-        (r, (w, state)), = blocks.items()
-        assert r == (0, 1) and w == 1.0
-        assert np.allclose(state, np.full((2, 2), 0.5))
+        assert weights == {(0, 1): 1.0}
+        assert np.allclose(_pair_targets(u, v, [(0, 1)], EQUAL), np.full((1, 2, 2), 0.5))
 
     def test_uniform_state_multiple_blocks(self):
         d = 3
@@ -283,10 +282,10 @@ class TestEntangled:
 
     def test_weights_sum_to_one(self, rng):
         u, v = haar_density(rng, 2), haar_density(rng, 2)
-        blocks = entangled_superposition(
+        weights = entangled_superposition(
             StateOracle(u), StateOracle(v), EQUAL, copies_budget(EQUAL, 2, 1.0), 5, trials=20
         )
-        assert sum(w for w, _ in blocks.values()) == pytest.approx(1.0)
+        assert sum(weights.values()) == pytest.approx(1.0)
 
 
 
@@ -315,8 +314,9 @@ def reference_entangled(u, v, spec, schedules, seed, trials):
 
 
 class TestEntangledStack:
-    """The trials run as stacks of TRIAL_CHUNK seeds and give the blocks of
-    the per-trial loop, bit for bit."""
+    """The trials run as stacks of TRIAL_CHUNK seeds and give the weights of
+    the per-trial loop, bit for bit; the targets of the measured index pairs
+    are the loop's noiseless block states."""
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize(
@@ -339,9 +339,9 @@ class TestEntangledStack:
         want = reference_entangled(u, v, spec, schedules, 9, trials)
         assert list(got) == list(want)
         assert len(want) >= 2
-        for r, (w, state) in got.items():
-            assert w == want[r][0]
-            assert np.array_equal(state, want[r][1])
+        assert list(got.values()) == [w for w, _ in want.values()]
+        states = _pair_targets(u, v, list(got), spec)
+        np.testing.assert_allclose(states, [s for _, s in want.values()], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("trials, calls", [(10, 2), (TRIAL_CHUNK, 2), (TRIAL_CHUNK + 1, 4)])
     def test_two_purifications_per_chunk(self, monkeypatch, rng, trials, calls):

@@ -7,7 +7,14 @@ import pytest
 from conftest import haar_density
 from supersim import calibration, seeding, tomo
 from supersim.errors import ValidationError
-from supersim.linalg import StateVector, basis_state, outer, outers, trace_distance
+from supersim.linalg import (
+    DensityOperator,
+    StateVector,
+    basis_state,
+    outer,
+    outers,
+    trace_distance,
+)
 from supersim.tomo import (
     MAX_TOMO_DIM,
     StateOracle,
@@ -268,6 +275,11 @@ class TestOracleDiscipline:
         with pytest.raises(AttributeError):
             oracle.__rho
 
+    def test_no_state_instance_kept(self, rng):
+        oracle = StateOracle(haar_density(rng, 3))
+        assert oracle.dim == 3
+        assert not any(isinstance(value, DensityOperator) for value in vars(oracle).values())
+
     def test_dimension_cap(self, rng):
         StateOracle(haar_density(rng, MAX_TOMO_DIM))
         with pytest.raises(ValidationError):
@@ -309,3 +321,22 @@ def test_build_table_matches_the_per_state_loop(tmp_path):
         assert table["dims"][d]["cells"] == cells
         assert table["dims"][d]["tail"] == tail
     assert packaged.read_bytes() == before
+
+
+def test_shipped_table_is_what_build_table_gives(monkeypatch, tmp_path):
+    # The shipped cells at d = 2 and 3 come from `build_table` with the file's
+    # own seed and state count; d = 4 and 8 would take several times longer.
+    shipped = json.loads(
+        resources.files("supersim.data").joinpath(calibration.TABLE_FILE).read_text()
+    )
+    monkeypatch.setattr(calibration, "CAL_DIMS", (2, 3))
+    table = calibration.build_table(
+        seed=shipped["seed"], states=shipped["benchmark_states"], path=tmp_path / "t.json"
+    )
+    for d in ("2", "3"):
+        got, want = table["dims"][d], shipped["dims"][d]
+        assert got["settings"] == want["settings"] and got["tail"] == want["tail"]
+        assert [n for n, _ in got["cells"]] == [n for n, _ in want["cells"]]
+        np.testing.assert_allclose(
+            [c for _, c in got["cells"]], [c for _, c in want["cells"]], rtol=1e-12, atol=0
+        )
