@@ -1,7 +1,7 @@
 """Radius table used by the tomography schedules.
 
 The trace-norm radius is eps_tr = C * d / sqrt(N).  The constants C are
-found offline, per (d, N) cell, by bisecting against the error
+found offline, per (d, N) cell, as an order statistic of the error
 distribution of a fixed benchmark of Haar-random states, and shipped as
 versioned JSON.  `build_table` regenerates the file
 (`python -m supersim.calibration`).
@@ -105,7 +105,7 @@ def build_table(
                 rhos.append(rho.matrix)
                 counts.append(StateOracle(rho).sample(n_shots, trial_seed))
             errors = trace_distance(reconstruct(np.stack(counts)), np.stack(rhos))
-            c = _bisect_constant(errors, d, n_shots) * INFLATION
+            c = _smallest_constant(errors, d, n_shots) * INFLATION
             cells.append([n_shots, c])
             scaled_errors.append(errors / (c * d / np.sqrt(n_shots)))
         # Suffix max keeps eps_tr monotone nonincreasing in N.
@@ -124,25 +124,23 @@ def build_table(
     return table
 
 
-def _bisect_constant(errors: np.ndarray, d: int, n_shots: int) -> float:
-    """Smallest C with empirical failure rate at most TARGET_FAIL."""
+def _smallest_constant(errors: np.ndarray, d: int, n_shots: int) -> float:
+    """Smallest float C with mean(errors > C * scale) <= TARGET_FAIL: the (n - m)-th
+    smallest error over scale, when at most m errors may exceed, moved an ulp
+    at a time to where the rounding of C * scale puts the boundary."""
     scale = d / np.sqrt(n_shots)
+    n = errors.size
+    m = np.count_nonzero(np.arange(n + 1) / n <= TARGET_FAIL) - 1
 
-    def fail_rate(c: float) -> float:
-        return float(np.mean(errors > c * scale))
+    def holds(c: float) -> bool:
+        return np.mean(errors > c * scale) <= TARGET_FAIL
 
-    lo, hi = 0.0, 1.0
-    while fail_rate(hi) > TARGET_FAIL:
-        hi *= 2.0
-        if hi > 1e6:
-            raise ValidationError("calibration diverged")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if fail_rate(mid) <= TARGET_FAIL:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    c = np.sort(errors)[n - m - 1] / scale
+    while not holds(c):
+        c = np.nextafter(c, np.inf)
+    while holds(np.nextafter(c, 0.0)):
+        c = np.nextafter(c, 0.0)
+    return float(c)
 
 
 def _fit_tail(scaled: np.ndarray) -> float:

@@ -12,10 +12,10 @@ direction.  The identities are raw contractions, not states: they take and
 return plain complex arrays of size 2 (the orthogonal complement also
 takes an (n, 2) stack).
 
-A candidate map (`AMap`) acts on stacks of 2x2 densities, and
-`_candidate_output`, `g_functional` and `g_normalized` take an (n, 2)
-stack of unit kets and return one value per row; the candidate's output
-is checked once per stack.
+A candidate map (`AMap`) acts on stacks of 2x2 densities.
+`_candidate_output` evaluates it once on an (n, 2) stack of unit kets and
+checks the output stack once; `g_functional` and `g_normalized` read those
+evaluated outputs, one value per row, and call no candidate themselves.
 """
 
 from __future__ import annotations
@@ -175,23 +175,21 @@ def _candidate_output(A: AMap, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return out / traces[:, None, None], perps
 
 
-def g_functional(A: AMap, xs: np.ndarray) -> np.ndarray:
-    """Complement-direction matrix element of the normalized candidate outputs.
+def g_functional(xs: np.ndarray, rhos: np.ndarray, perps: np.ndarray) -> np.ndarray:
+    """Complement-direction matrix element of evaluated candidate outputs.
 
-    For each row x of the (n, 2) stack, <x_perp| A(xx^dag, perp perp^dag)/tr |x>
-    with the bra taken as the raw sigma_y contraction (no conjugation), which
-    is the conjugate of the complement ket `_candidate_output` returns.  Both
-    contractions are 1-homogeneous in x, so for any candidate that sees only
-    the density matrices the value picks up a factor e^{2i theta} when x
-    does e^{i theta}.
+    For each row x of the (n, 2) stack, <x_perp| rho |x>, where `rhos` and
+    `perps` are what `_candidate_output` returned for xs, and the bra is the
+    raw sigma_y contraction (no conjugation), the conjugate of the complement
+    ket.  Both contractions are 1-homogeneous in x, so for any candidate that
+    sees only the density matrices the value picks up a factor e^{2i theta}
+    when x does e^{i theta}.
     """
-    rhos, perps = _candidate_output(A, xs)
     return (perps.conj()[:, None, :] @ rhos @ xs[:, :, None])[:, 0, 0]
 
 
-def g_normalized(A: AMap, xs: np.ndarray) -> np.ndarray:
+def g_normalized(g: np.ndarray) -> np.ndarray:
     """g / |g|, the circle-valued form; a zero g anywhere is an explicit failure."""
-    g = g_functional(A, xs)
     mag = np.abs(g)
     if np.any(mag < 1e-12):
         raise ZeroFunctionalError("g vanishes; cannot normalize")

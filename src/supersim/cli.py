@@ -40,12 +40,7 @@ from .linalg import (
     load_state,
     outer,
 )
-from .obstruction import (
-    BUILTIN_CANDIDATES,
-    _best_phase_error,
-    discontinuity_loop,
-    obstruction_audit,
-)
+from .obstruction import BUILTIN_CANDIDATES, obstruction_audit
 from .superpose import (
     SuperpositionSpec,
     _pair_targets,
@@ -160,6 +155,8 @@ def _cmd_superpose(args) -> dict:
             "beta": encode_complex(spec.beta),
             "eps": args.eps,
             "exact": args.exact,
+            "entangled": args.entangled,
+            "trials": args.trials,
         },
         "results": results,
     }
@@ -174,8 +171,7 @@ def _cmd_audit(args) -> dict:
         x0 = basis_state(2, 0)
     report = obstruction_audit(candidate, spec, x0, args.samples)
     if args.csv:
-        errors = _best_phase_error(candidate, discontinuity_loop(args.samples), spec)
-        rows = [(j / args.samples, e) for j, e in enumerate(errors.tolist())]
+        rows = [(j / args.samples, e) for j, e in enumerate(report.loop_errors.tolist())]
         _write_csv(args.csv, ["t", "error"], rows)
     return {
         "inputs": {

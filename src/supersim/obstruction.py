@@ -12,34 +12,32 @@ is `obstructed`.
 The audit works on stacks, one row per loop point.  A loop of inputs is
 an (n+1, 2) complex array of kets, and a candidate (`circuits.AMap`) maps
 the (n+1, 2, 2) stacks of input densities and of their complements to one
-stack of outputs, so each loop costs one candidate call and one
-eigenvalue pass, whatever n is.  The values of g along a loop are a 1-D
-complex array, and `winding_number` checks what its answer depends on
+stack of outputs.  An audit makes one candidate call per loop it evaluates,
+the phase loop and the discontinuity loop, whatever n is; the windings and
+the error scan read the same outputs.  The values of g along a loop are a
+1-D complex array, and `winding_number` checks what its answer depends on
 (enough points, closure, no zero, short steps).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import (
-    RefinementNeededError,
-    ValidationError,
-    ZeroFunctionalError,
+    DimensionMismatchError, RefinementNeededError, ValidationError, ZeroFunctionalError,
 )
-from .circuits import AMap, _candidate_output, g_normalized
+from .circuits import AMap, _candidate_output, g_functional, g_normalized
 from .linalg import StateVector, outers, trace_distance
 from .superpose import SuperpositionSpec, target_superposition, threshold
 from .vecfun import canonical_vec
 
 MIN_LOOP_SAMPLES = 8
 # Loop points a caller may ask for: each costs a few 2x2 matrices per stack.
-# Winding refinement may double past it; it is a bound on input, not on work.
+# No loop is refined past it, so it bounds the audit's work, not only its input.
 MAX_LOOP_SAMPLES = 2**16
-MAX_REFINEMENTS = 10
 MOLLIFY_BANDWIDTH = 0.05
 
 
@@ -52,6 +50,8 @@ class AuditReport:
     max_error: float
     threshold: float
     g_vanished: bool = False
+    # Output error at each point of the discontinuity loop, for `audit --csv`.
+    loop_errors: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @property
     def verdict(self) -> str:
@@ -101,23 +101,26 @@ def discontinuity_loop(n: int) -> np.ndarray:
     return np.stack([-np.sin(np.pi * t), np.cos(np.pi * t)], axis=-1).astype(np.complex128)
 
 
-def _winding_along(A: AMap, x0: StateVector, k: int, n: int) -> int:
-    for _ in range(MAX_REFINEMENTS):
-        values = g_normalized(A, phase_loop(x0, k, n))
-        try:
-            return winding_number(values)
-        except RefinementNeededError:
-            n *= 2
-    raise RefinementNeededError(f"winding did not stabilize below n={n}")
+def _winding_along(xs: np.ndarray, rhos: np.ndarray, perps: np.ndarray) -> Tuple[int, int]:
+    """Windings of g on the phase loop xs (outputs `rhos, perps`) and on the constant loop.
+
+    A candidate sees only densities, so g(e^{i theta} x) = e^{2i theta} g(x):
+    g turns by 4 pi / n <= pi / 2 per step and no refinement is needed (nor
+    could one mend a jump from roundoff, which `winding_number` refuses).
+    Row 0 of xs is x0 bit for bit, so the constant loop is g[0] repeated.
+    """
+    g = g_normalized(g_functional(xs, rhos, perps))
+    return winding_number(g), winding_number(np.repeat(g[:1], g.size))
 
 
-def _best_phase_error(A: AMap, xs: np.ndarray, spec: SuperpositionSpec) -> np.ndarray:
-    """Output error at every row of xs against its most favorable target phase.
+def _best_phase_error(
+    xs: np.ndarray, rhos: np.ndarray, perps: np.ndarray, spec: SuperpositionSpec
+) -> np.ndarray:
+    """Error of the outputs `rhos, perps` on xs against their most favorable target phase.
 
     The targets are `target_superposition(xs, perps, spec, phi)`, one stack
     for the whole loop, at the phase phi of each output's cross term.
     """
-    rhos, perps = _candidate_output(A, xs)
     cross = np.conj(spec.alpha) * spec.beta * (
         xs.conj()[:, None, :] @ rhos @ perps[:, :, None]
     )[:, 0, 0]
@@ -128,27 +131,29 @@ def _best_phase_error(A: AMap, xs: np.ndarray, spec: SuperpositionSpec) -> np.nd
 def obstruction_audit(
     A: AMap, spec: SuperpositionSpec, x0: StateVector, n: int
 ) -> AuditReport:
-    """Winding comparison plus worst-case error scan for one candidate."""
+    """Winding comparison plus worst-case error scan: one candidate call per loop."""
     if n > MAX_LOOP_SAMPLES:
         raise ValidationError(f"at most {MAX_LOOP_SAMPLES} samples, got {n}")
-    g_vanished = False
-    w_phase: Optional[int] = None
-    w_const: Optional[int] = None
+    if x0.dim != 2:
+        raise DimensionMismatchError(f"x0 must be a qubit state, got dimension {x0.dim}")
+    xs = phase_loop(x0, 1, n)
+    outputs = _candidate_output(A, xs)
     try:
-        w_phase = _winding_along(A, x0, 1, n)
-        w_const = _winding_along(A, x0, 0, n)
+        w_phase, w_const = _winding_along(xs, *outputs)
+        g_vanished = False
     except ZeroFunctionalError:
+        w_phase = w_const = None
         g_vanished = True
-    max_error = max(
-        float(_best_phase_error(A, loop, spec).max())
-        for loop in (phase_loop(x0, 1, n), discontinuity_loop(n))
-    )
+    phase_errors = _best_phase_error(xs, *outputs, spec)
+    cut = discontinuity_loop(n)
+    loop_errors = _best_phase_error(cut, *_candidate_output(A, cut), spec)
     return AuditReport(
         winding_constant=w_const,
         winding_phase_loop=w_phase,
-        max_error=max_error,
+        max_error=max(float(phase_errors.max()), float(loop_errors.max())),
         threshold=threshold(spec),
         g_vanished=g_vanished,
+        loop_errors=loop_errors,
     )
 
 

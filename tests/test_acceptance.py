@@ -43,7 +43,7 @@ from supersim.tomo import (
     schedule_for,
     vector_tomography,
 )
-from supersim.circuits import g_normalized
+from supersim.circuits import _candidate_output, g_functional, g_normalized
 from supersim.vecfun import discontinuity_probe, select_r, vec_i
 
 EQUAL = SuperpositionSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -231,8 +231,10 @@ def test_criterion_9_obstruction_suite():
     ideal = ideal_candidate(EQUAL)
     windings_ok = True
     for n in (64, 4096):
-        windings_ok &= winding_number(g_normalized(ideal, phase_loop(x0, 1, n))) == 2
-        windings_ok &= winding_number(g_normalized(ideal, phase_loop(x0, 0, n))) == 0
+        for k, want in ((1, 2), (0, 0)):
+            xs = phase_loop(x0, k, n)
+            g = g_normalized(g_functional(xs, *_candidate_output(ideal, xs)))
+            windings_ok &= winding_number(g) == want
     verdicts = {
         name: obstruction_audit(factory(EQUAL), EQUAL, x0, 64).verdict
         for name, factory in BUILTIN_CANDIDATES.items()

@@ -7,6 +7,7 @@ from conftest import haar_vector
 from supersim.errors import DimensionMismatchError, InvalidMapError, ValidationError
 from supersim.circuits import (
     PostselectionCircuit,
+    _candidate_output,
     apply_postselection,
     conjugate_bra,
     g_functional,
@@ -223,6 +224,11 @@ def haar_stack(rng, n):
     return np.array([haar_vector(rng, 2).amplitudes for _ in range(n)])
 
 
+def g_of(A, xs):
+    """g along the stack xs, from one evaluation of the candidate A."""
+    return g_functional(xs, *_candidate_output(A, xs))
+
+
 def constant_map(matrix):
     """A candidate that returns `matrix` at every point of the stack."""
     matrix = np.asarray(matrix, dtype=complex)
@@ -237,7 +243,7 @@ class TestGFunctional:
         theta = rng.uniform(0, 2 * np.pi, size=100)
         rotated = np.exp(1j * theta)[:, None] * xs
         np.testing.assert_allclose(
-            g_functional(A, rotated), np.exp(2j * theta) * g_functional(A, xs), rtol=0, atol=1e-9
+            g_of(A, rotated), np.exp(2j * theta) * g_of(A, xs), rtol=0, atol=1e-9
         )
 
     def test_orthogonal_constant_flagged(self):
@@ -246,24 +252,24 @@ class TestGFunctional:
         A = constant_map(np.diag([1.0, 0.0]))
         xs = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)
         # |0><0| sandwiched between |0> and its complement: g = 0, flagged
-        g = g_functional(A, xs)
+        g = g_of(A, xs)
         assert g[0] == 0.0 and abs(g[1]) > 0.1
         with pytest.raises(ZeroFunctionalError):
-            g_normalized(A, xs)
+            g_normalized(g)
 
     def test_invalid_trace_rejected(self):
         xs = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
         nan_second = lambda rho_u, rho_v: np.stack([np.eye(2), np.full((2, 2), np.nan)])
         for A in (constant_map(np.zeros((2, 2))), nan_second):
             with pytest.raises(InvalidMapError):
-                g_functional(A, xs)
+                g_of(A, xs)
 
     def test_wrong_output_shape_rejected(self):
         xs = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
         for out in (np.eye(2), np.eye(3)[None], DensityOperator(np.eye(2))):
             with pytest.raises(InvalidMapError):
-                g_functional(lambda rho_u, rho_v: out, xs)
+                g_of(lambda rho_u, rho_v: out, xs)
 
     def test_normalized_form_unit_modulus(self, rng):
         A = ideal_candidate(EQUAL)
-        np.testing.assert_allclose(np.abs(g_normalized(A, haar_stack(rng, 50))), 1.0)
+        np.testing.assert_allclose(np.abs(g_normalized(g_of(A, haar_stack(rng, 50)))), 1.0)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import check_report, report_schema
-from supersim import cli, seeding, superpose
+from supersim import cli, obstruction, seeding, superpose
 from supersim.cli import main
 from supersim.linalg import StateVector, basis_state, save_state
 
@@ -130,6 +130,19 @@ class TestSuperpose:
         assert code == 0
         blocks = json.loads(out)["results"]["blocks"]
         assert len(blocks) == 1 and blocks[0]["weight"] == 1.0
+
+    def test_inputs_name_the_entangled_mode_and_its_trials(self, capsys, states):
+        inputs = []
+        for extra in ([], ["--entangled", "--trials", "10"], ["--entangled", "--trials", "20"]):
+            code, out = run(
+                capsys, "superpose", "--u", states[0], "--v", states[1],
+                "--exact", "--seed", "4", *extra,
+            )
+            assert code == 0
+            inputs.append(json.loads(out)["inputs"])
+        assert [(i["entangled"], i["trials"]) for i in inputs] == [
+            (False, 50), (True, 10), (True, 20)
+        ]
 
 
     @pytest.mark.parametrize("extra", [[], ["--entangled", "--trials", "3"]])
@@ -331,7 +344,33 @@ class TestAudit:
             "--csv", str(csv_path),
         )
         assert code == 0
-        assert csv_path.read_text().startswith("t,error")
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "t,error" and len(lines) == 1 + 65
+
+    def test_csv_adds_no_candidate_call(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        evaluate = obstruction._candidate_output
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(obstruction, "_candidate_output", counted)
+        for extra in ([], ["--csv", str(tmp_path / "audit.csv")]):
+            calls.clear()
+            code, _ = run(capsys, "audit", "--candidate", "ideal", "--samples", "64", *extra)
+            assert code == 0
+            assert len(calls) == 2
+
+    def test_qutrit_x0_refused_before_any_candidate_call(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(obstruction, "_candidate_output", lambda *args: calls.append(args))
+        path = tmp_path / "qutrit.json"
+        save_state(path, basis_state(3, 0))
+        code, out = run(capsys, "audit", "--candidate", "ideal", "--x0", str(path))
+        assert code == 2 and not calls
+        message = json.loads(out)["error"]["message"]
+        assert "x0" in message and "dimension 3" in message
 
 
 class TestTable1:

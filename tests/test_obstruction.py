@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import haar_vector, ref_canonical_vec
 from supersim import circuits, obstruction
-from supersim.circuits import g_functional, orthogonal_complement
+from supersim.circuits import _candidate_output, g_functional, orthogonal_complement
 from supersim.errors import (
     InvalidMapError,
     RefinementNeededError,
@@ -15,7 +15,6 @@ from supersim.errors import (
 from supersim.linalg import StateVector, outer, outers
 from supersim.obstruction import (
     BUILTIN_CANDIDATES,
-    MAX_REFINEMENTS,
     MIN_LOOP_SAMPLES,
     MOLLIFY_BANDWIDTH,
     AuditReport,
@@ -206,6 +205,9 @@ def ref_constant(spec):
     return lambda rho_u, rho_v: np.full((2, 2), 0.5 + 0j)
 
 
+# The per-point reference keeps the doubling the stacked audit no longer needs.
+REF_MAX_REFINEMENTS = 10
+
 REF_CANDIDATES = {"ideal": ref_ideal, "mollified": ref_mollified, "constant": ref_constant}
 
 
@@ -240,7 +242,7 @@ def ref_best_phase_error(A, x, spec):
 
 
 def ref_winding_along(A, x0, k, n):
-    for _ in range(MAX_REFINEMENTS):
+    for _ in range(REF_MAX_REFINEMENTS):
         values = [ref_g_normalized(A, p) for p in ref_phase_loop(x0, k, n)]
         try:
             return winding_number(values)
@@ -281,11 +283,12 @@ class TestPerPointReference:
             for loop, ref_loop in ((phase_loop(x0, 1, n), ref_phase_loop(x0, 1, n)),
                                    (discontinuity_loop(n), ref_discontinuity_loop(n))):
                 assert np.array_equal(loop, [p.amplitudes for p in ref_loop])
+                outputs = _candidate_output(A, loop)
                 np.testing.assert_allclose(
-                    g_functional(A, loop), [ref_g_functional(ref, p) for p in ref_loop],
+                    g_functional(loop, *outputs), [ref_g_functional(ref, p) for p in ref_loop],
                     rtol=0, atol=1e-14)
                 np.testing.assert_allclose(
-                    _best_phase_error(A, loop, spec),
+                    _best_phase_error(loop, *outputs, spec),
                     [ref_best_phase_error(ref, p, spec) for p in ref_loop],
                     rtol=0, atol=1e-14)
             got, want = obstruction_audit(A, spec, x0, n), ref_audit(ref, spec, x0, n)
@@ -333,5 +336,34 @@ class TestNoPerPointObjects:
     @pytest.mark.parametrize("name", sorted(BUILTIN_CANDIDATES))
     def test_counts_do_not_scale_with_samples(self, monkeypatch, name):
         small = self.counted_audit(monkeypatch, name, 64)
-        assert 0 < small["_candidate_output"] <= 8
-        assert self.counted_audit(monkeypatch, name, 4096) == small
+        assert small["_candidate_output"] == 2  # one call per loop
+        for n in (MIN_LOOP_SAMPLES, 4096):
+            assert self.counted_audit(monkeypatch, name, n) == small
+
+
+class TestLoopPremises:
+    """What lets the audit evaluate each loop once and never refine it."""
+
+    @staticmethod
+    def g_along(A, xs):
+        return g_functional(xs, *_candidate_output(A, xs))
+
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_CANDIDATES))
+    def test_phase_loop_steps_are_four_pi_over_n(self, name, n):
+        checked = 0
+        for spec, x0 in reference_cases(seed=n):
+            g = self.g_along(BUILTIN_CANDIDATES[name](spec), phase_loop(x0, 1, n))
+            if np.all(np.abs(g) > 1e-12):  # the mollified g vanishes at |0>
+                steps = np.angle(g[1:] / g[:-1])
+                np.testing.assert_allclose(steps, 4 * np.pi / n, rtol=0, atol=1e-12)
+                checked += 1
+        assert checked >= 2
+
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_CANDIDATES))
+    def test_constant_loop_repeats_the_phase_loop_start(self, name, n):
+        for spec, x0 in reference_cases(seed=n):
+            A = BUILTIN_CANDIDATES[name](spec)
+            g = self.g_along(A, phase_loop(x0, 1, n))
+            assert np.array_equal(self.g_along(A, phase_loop(x0, 0, n)), np.repeat(g[:1], n + 1))

@@ -286,6 +286,39 @@ class TestOracleDiscipline:
             StateOracle(haar_density(rng, MAX_TOMO_DIM + 1))
 
 
+def reference_bisect_constant(errors, d, n_shots):
+    """The 60-step bisection the order statistic replaced, kept as the reference."""
+    scale = d / np.sqrt(n_shots)
+
+    def fail_rate(c):
+        return float(np.mean(errors > c * scale))
+
+    lo, hi = 0.0, 1.0
+    while fail_rate(hi) > calibration.TARGET_FAIL:
+        hi *= 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if fail_rate(mid) <= calibration.TARGET_FAIL:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("n", [4, 49, 500, 1000])
+def test_calibrated_constant_is_the_smallest_float_meeting_the_target(n):
+    # Ten draws per cell reach both ulp moves of the plain quotient.
+    rng = np.random.default_rng(n)
+    for d, n_shots in ((2, 100), (3, 10_000), (4, 1_000), (8, 1_000_000)) * 10:
+        errors = rng.gamma(2.0, 0.1, size=n)
+        errors[: n // 4] = errors[n // 4 : 2 * (n // 4)]  # ties
+        scale = d / np.sqrt(n_shots)
+        c = calibration._smallest_constant(errors, d, n_shots)
+        assert np.mean(errors > c * scale) <= calibration.TARGET_FAIL
+        assert np.mean(errors > np.nextafter(c, 0.0) * scale) > calibration.TARGET_FAIL
+        assert c == reference_bisect_constant(errors, d, n_shots)
+
+
 def reference_build_table(seed, states):
     """The per-state loop the stacked cells replaced, kept as the reference:
     each dimension's cells and tail exponent."""
@@ -300,7 +333,7 @@ def reference_build_table(seed, states):
                 trial_seed = seeding.child_seed(seed, seeding.TRIAL, d, cell_idx, i)
                 est = reconstruct(StateOracle(rho).sample(n_shots, trial_seed))
                 errors[i] = trace_distance(est, rho.matrix)
-            c = calibration._bisect_constant(errors, d, n_shots) * calibration.INFLATION
+            c = reference_bisect_constant(errors, d, n_shots) * calibration.INFLATION
             cells.append([n_shots, c])
             scaled.append(errors / (c * d / np.sqrt(n_shots)))
         for i in range(len(cells) - 2, -1, -1):
