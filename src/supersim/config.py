@@ -16,3 +16,5 @@ TOL = Tolerances()
 
 # Circuit inputs refuse total dimensions beyond this (2**20 matrix entries).
 MAX_DIM = 1024
+# State files and tomography refuse dimensions beyond this.
+MAX_TOMO_DIM = 16

@@ -10,8 +10,9 @@ Conventions fixed here and relied on everywhere else:
   are pure;
 * invariants are checked once, at the trust boundary: an instance of a
   state type means its constructor's checks passed.  The public
-  constructors and `load_state` validate; `outer` is the one exception, as
-  the projector of a checked unit vector is pure by construction;
+  constructors validate, and `load_state` makes every state file a checked
+  `PureDensity`, dimension cap first; `outer` is the one exception, as the
+  projector of a checked unit vector is pure by construction;
 * derived vectors, derived densities and raw contractions stay plain
   complex arrays;
 * the kernels estimates pass through (`dominant_pure`, `trace_distance`,
@@ -29,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .config import TOL
+from .config import MAX_TOMO_DIM, TOL
 from .errors import (
     DimensionMismatchError,
     NormalizationError,
@@ -59,7 +60,8 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         if amps.size == 0:
             raise ValidationError("empty state vector")
-        norm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= 1e-9:  # also false for NaN or inf entries
             raise NormalizationError(f"norm {norm} is not 1")
 
@@ -71,7 +73,7 @@ class StateVector:
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian PSD matrix.  Trace may be any nonnegative value, so a density
-    file need not be normalized (the CLI's `_load_density` normalizes it)."""
+    file need not be normalized (`load_state` normalizes it)."""
 
     matrix: np.ndarray
 
@@ -196,9 +198,6 @@ def dominant_pure(matrix: np.ndarray) -> np.ndarray:
     return outers(winner / row_norms(winner)[:, None]).reshape(matrix.shape)
 
 
-StateLike = Union[StateVector, DensityOperator]
-
-
 def encode_complex(values) -> list:
     """JSON form of a complex scalar or array: [re, im] pairs in its shape."""
     a = np.asarray(values, dtype=np.complex128)
@@ -206,14 +205,15 @@ def encode_complex(values) -> list:
 
 
 def decode_complex(data) -> np.ndarray:
-    """Inverse of `encode_complex`; raises ValueError on malformed data."""
+    """Inverse of `encode_complex`; raises ValueError on malformed or boolean data."""
     pairs = np.array(data)
-    if pairs.dtype.kind not in "biuf" or pairs.ndim == 0 or pairs.shape[-1] != 2:
+    if (pairs.dtype.kind not in "iuf" or pairs.ndim == 0 or pairs.shape[-1] != 2
+            or any(type(x) is bool for x in np.array(data, dtype=object).flat)):
         raise ValidationError("complex data must be numeric [re, im] pairs")
     return pairs[..., 0] + 1j * pairs[..., 1]
 
 
-def save_state(path: Union[str, Path], state: StateLike) -> None:
+def save_state(path: Union[str, Path], state: Union[StateVector, DensityOperator]) -> None:
     """Write a vector or density to the JSON state file format."""
     if isinstance(state, StateVector):
         kind, flat = "vector", state.amplitudes
@@ -227,33 +227,46 @@ def save_state(path: Union[str, Path], state: StateLike) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True))
 
 
-def load_state(path: Union[str, Path]) -> StateLike:
-    """Read a state file; raises ValidationError on malformed content."""
+def load_state(path: Union[str, Path]) -> PureDensity:
+    """Read a state file as a checked pure density: a vector's projector, or a
+    density as it is if pure and divided by its trace if not."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read state file {path}: {exc}") from exc
     try:
-        dim = payload["dim"]
-        kind = payload["kind"]
-        data = decode_complex(payload["data"])
-    except (KeyError, TypeError, ValueError) as exc:
+        dim, kind, data = payload["dim"], payload["kind"], payload["data"]
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed state file {path}: {exc}") from exc
     if type(dim) is not int:  # a JSON integer; bool is a subclass of int
         raise ValidationError(f"dim must be an integer, got {dim!r}")
+    if dim < 1:
+        raise ValidationError(f"dim {dim} must be positive")
+    if dim > MAX_TOMO_DIM:  # before decoding: a (dim, dim) array takes 16 dim**2 bytes
+        raise ValidationError(f"dim {dim} exceeds tomography cap {MAX_TOMO_DIM}")
+    try:
+        data = decode_complex(data)
+    except ValueError as exc:  # numpy raises one on ragged data, too
+        raise ValidationError(f"malformed state file {path}: {exc}") from exc
     if kind == "vector":
         if data.shape != (dim,):
             raise ValidationError(f"expected {dim} amplitudes, got shape {data.shape}")
-        return StateVector(data)
-    if kind == "density":
-        if dim < 1 or data.shape != (dim * dim,):
-            raise ValidationError(f"dim {dim} needs {dim * dim} entries, got shape {data.shape}")
-        matrix = data.reshape(dim, dim)
+        return outer(StateVector(data))
+    if kind != "density":
+        raise ValidationError(f"unknown state kind {kind!r}")
+    if data.shape != (dim * dim,):
+        raise ValidationError(f"dim {dim} needs {dim * dim} entries, got shape {data.shape}")
+    matrix = data.reshape(dim, dim)
+    _require_finite(matrix)
+    with np.errstate(over="ignore"):  # what overflows is inf, and a check refuses it
+        trace = float(matrix.trace().real)
+        if not np.finfo(float).tiny <= trace < np.inf:  # else 1 / trace overflows
+            need = "positive" if trace <= 0.0 else "a normal, finite float"
+            raise ValidationError(f"density trace {trace} must be {need} to normalize")
         try:
             return PureDensity(matrix)
         except ValidationError:
-            return DensityOperator(matrix)
-    raise ValidationError(f"unknown state kind {kind!r}")
+            return PureDensity(matrix / trace)
 
 
 def basis_state(dim: int, index: int) -> StateVector:

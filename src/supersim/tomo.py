@@ -13,9 +13,10 @@ and estimates as stacks, one row per seed of `vector_tomography`, so a
 single run is a stack of one, with the bits it would have alone.
 `radii` is the one definition of the calibrated radii and failure credit,
 for one shot count or a whole grid of them; `schedule_for` is its one-cell case.
-A `StateOracle` is the only way in: the dimension cap is checked once, when
-one is built, and it keeps only the state's Born tables, so nothing reaches
-the state but its measurements.  The estimates and their vectors are derived
+A `StateOracle` is the only way in: it refuses a state above
+`config.MAX_TOMO_DIM` (`load_state` refuses such a file before it forms any
+matrix), and it keeps only the state's Born tables, so nothing reaches the
+state but its measurements.  The estimates and their vectors are derived
 from the counts and not checked again.
 """
 
@@ -30,10 +31,10 @@ import numpy as np
 from . import seeding
 from .errors import InvariantViolation, ValidationError
 from .calibration import lookup_constant, tail_exponent, TABLE_MAX_N
+from .config import MAX_TOMO_DIM
 from .linalg import PureDensity, dominant_pure, row_norms
 from .vecfun import select_r, select_r_paired, vec_i
 
-MAX_TOMO_DIM = 16
 MIN_SHOTS = 100
 DELTA_TR = 0.05  # failure level the radius table is calibrated against
 

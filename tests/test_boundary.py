@@ -3,13 +3,15 @@ derived values are plain arrays that would pass the checks, and the CLI turns
 every rejection into the JSON error envelope with exit code 2."""
 
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import supersim
 from conftest import haar_density, haar_vector
-from supersim import calibration
+from supersim import calibration, cli, linalg
 from supersim.cli import main
 from supersim.errors import ValidationError
 from supersim.linalg import (
@@ -213,3 +215,81 @@ class TestCliRejections:
         _expect_envelope(
             capsys, ["superpose", "--u", str(path), "--v", str(path), "--exact", "--eps", "nan"]
         )
+
+
+def _write_state(path, dim, kind, data):
+    path.write_text(json.dumps({"dim": dim, "kind": kind, "data": data}))
+    return str(path)
+
+
+def _refused_quietly(capfd, argv):
+    """Run the CLI with every warning raised as an error; check the exit-2
+    envelope and an empty stderr, and return the error message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = capfd.readouterr()
+    assert code == 2 and err == ""
+    return json.loads(out)["error"]["message"]
+
+
+class TestStateFiles:
+    def test_the_cli_loads_with_load_state(self):
+        assert cli._load_density is linalg.load_state
+
+    @pytest.mark.parametrize(
+        "kind, data",
+        [
+            ("vector", [[0.6, 0.0], [0.0, 0.8]]),
+            ("density", [[0.36, 0.0], [0.0, -0.48], [0.0, 0.48], [0.64, 0.0]]),
+            ("density", [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        ],
+        ids=["vector", "pure", "unnormalized"],
+    )
+    def test_every_accepted_file_is_a_pure_density(self, tmp_path, kind, data):
+        state = load_state(_write_state(tmp_path / "s.json", 2, kind, data))
+        assert type(state) is PureDensity
+        PureDensity(state.matrix)
+
+    def test_a_pure_density_keeps_its_bits(self, tmp_path, rng):
+        rho = haar_density(rng, 3)
+        save_state(tmp_path / "rho.json", rho)
+        assert np.array_equal(load_state(tmp_path / "rho.json").matrix, rho.matrix)
+
+    def test_an_unnormalized_density_is_divided_by_its_trace(self, tmp_path, rng):
+        matrix = 3.0 * haar_density(rng, 3).matrix
+        save_state(tmp_path / "rho.json", DensityOperator(matrix))
+        trace = float(matrix.trace().real)
+        assert np.array_equal(load_state(tmp_path / "rho.json").matrix, matrix / trace)
+
+    def test_an_oversized_file_is_refused_before_any_matrix(self, tmp_path, capsys, rng):
+        path = tmp_path / "d4000.json"
+        save_state(path, haar_vector(rng, 4000))
+        tracemalloc.start()
+        try:
+            error = _expect_envelope(capsys, ["tomo", "--state", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "tomography cap" in error["message"]
+        assert peak < 16 * 2**20  # one (4000, 4000) complex array is 256 MB
+
+    @pytest.mark.parametrize(
+        "data", [[[1e-320, 0.0]] + [[0.0, 0.0]] * 3, [[1e308, 0.0]] * 4],
+        ids=["subnormal", "overflowing"],
+    )
+    def test_density_trace_out_of_range(self, tmp_path, capfd, data):
+        # A subnormal trace has no finite reciprocal; 1e308 + 1e308 overflows.
+        path = _write_state(tmp_path / "rho.json", 2, "density", data)
+        assert "density trace" in _refused_quietly(capfd, ["tomo", "--state", path])
+
+    def test_overflowing_vector_norm(self, tmp_path, capfd):
+        path = _write_state(tmp_path / "v.json", 2, "vector", [[1e200, 0.0], [1e200, 0.0]])
+        assert _refused_quietly(capfd, ["tomo", "--state", path]) == "norm inf is not 1"
+
+    @pytest.mark.parametrize(
+        "data", [[[True, False], [False, False]], [[True, 0.0], [0.0, 0.0]]], ids=["all", "mixed"]
+    )
+    def test_boolean_amplitudes_are_refused(self, tmp_path, capfd, data):
+        path = _write_state(tmp_path / "v.json", 2, "vector", data)
+        _refused_quietly(capfd, ["tomo", "--state", path, "--exact"])

@@ -1,14 +1,18 @@
-"""Every top-level import is used, every private module-level name too, and
-state types are built unchecked in one place only.
+"""Every top-level import is used, every private module-level name too,
+every public function and class has a use in the package or a stated reason,
+and state types are built unchecked in one place only.
 
 No linter ships with the package, so this scans the source with `ast`: a
 name bound by a module-level import must be referenced somewhere in the
 same module, and a private name (one leading underscore) defined at a
 module's top level in `src/supersim` must be referenced somewhere in the
-package outside its own definition.  `supersim/__init__.py` is skipped by
-the import scan because its imports are re-exports.  A state instance means
-its constructor's checks passed, so `__new__`, which skips them, is called
-only in `linalg.outer`.
+package outside its own definition.  So must a public top-level function or
+class, where a re-export in `supersim/__init__.py` does not count; the names
+that nothing in the package uses yet are listed in `UNUSED_PUBLIC`, each
+with its reason.  `supersim/__init__.py` is skipped by the import scan
+because its imports are re-exports.  A state instance means its
+constructor's checks passed, so `__new__`, which skips them, is called only
+in `linalg.outer`.
 """
 
 import ast
@@ -47,6 +51,12 @@ def _defined(stmt) -> set:
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
+def _defined_public(stmt) -> set:
+    """The public function or class a top-level statement defines, if any."""
+    is_def = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    return {stmt.name} if is_def and not stmt.name.startswith("_") else set()
+
+
 def _referenced(stmt) -> set:
     """Names a statement reads, as a bare name, an attribute or an import."""
     names = set()
@@ -60,13 +70,13 @@ def _referenced(stmt) -> set:
     return names
 
 
-def unused_private_names(sources: dict) -> list:
-    """Private top-level names of `sources` (module name -> source) that no
-    statement but their own definition references, as "module.name"."""
+def unused_names(sources: dict, defines=_defined) -> list:
+    """Top-level names of `sources` (module name -> source) picked by `defines`
+    that no statement but their own definition references, as "module.name"."""
     defined, used = [], set()
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            own = _defined(stmt)
+            own = defines(stmt)
             defined += [(module, name) for name in own]
             used |= _referenced(stmt) - own
     return sorted(f"{module}.{name}" for module, name in defined if name not in used)
@@ -83,7 +93,7 @@ def test_scan_flags_an_unused_name():
 
 
 def test_no_unused_private_names():
-    assert unused_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+    assert unused_names({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
 def test_private_scan_flags_a_dead_name():
@@ -93,7 +103,28 @@ def test_private_scan_flags_a_dead_name():
              "def _attr():\n    pass\n",
         "b": "from a import _imported\nimport a\na._attr()\n",
     }
-    assert unused_private_names(sources) == ["a._dead"]
+    assert unused_names(sources) == ["a._dead"]
+
+
+UNUSED_PUBLIC = {
+    "circuits.apply_postselection": "ROADMAP item 2 gives it a CLI path",
+    "superpose.figure_of_merit": "ROADMAP item 7 gives it a CLI path",
+    "linalg.save_state": "writes the format load_state reads; the tests and README use it",
+}
+
+
+def test_every_public_name_is_used_or_listed():
+    sources = {p.stem: p.read_text() for p in PACKAGE if p.name != "__init__.py"}
+    assert unused_names(sources, _defined_public) == sorted(UNUSED_PUBLIC)
+
+
+def test_public_scan_flags_an_unused_function():
+    sources = {
+        "a": "class Used:\n    pass\ndef dead(n):\n    return dead(n - 1)\n"
+             "def _private():\n    pass\nLIMIT = 3\ndef by_attribute():\n    pass\n",
+        "b": "import a\nfrom a import Used\na.by_attribute()\n",
+    }
+    assert unused_names(sources, _defined_public) == ["a.dead"]
 
 
 STATE_CLASSES = {"StateVector", "DensityOperator", "PureDensity"}

@@ -170,7 +170,7 @@ class TestStateIO:
         v = haar_vector(rng, 3)
         path = tmp_path / "v.json"
         save_state(path, v)
-        assert np.allclose(load_state(path).amplitudes, v.amplitudes)
+        assert np.allclose(load_state(path).matrix, outer(v).matrix)
 
     def test_density_roundtrip(self, tmp_path, rng):
         rho = haar_density(rng, 2)
