@@ -4,12 +4,13 @@ The trace-norm radius is eps_tr = C * d / sqrt(N).  The constants C are
 found offline, per (d, N) cell, as an order statistic of the error
 distribution of a fixed benchmark of Haar-random states, and shipped as
 versioned JSON.  `build_table` regenerates the file
-(`python -m supersim.calibration`).
+(`python -m supersim.calibration`).  This module alone defines what the
+table is calibrated against: `DELTA_TR`, `MIN_SHOTS` and `TABLE_MAX_N`.
 
 Each dimension also carries a fitted Gaussian-style tail exponent `a`:
-widening the radius by a factor kappa is credited with a failure
-probability of 0.05 * exp(-a * (kappa^2 - 1)).  The fit is validated only
-where the benchmark can resolve it and is extrapolated beyond; budgets
+widening the radius by a factor kappa >= 1 is credited with a failure
+probability of DELTA_TR * exp(-a * (kappa^2 - 1)).  The fit is validated
+only where the benchmark can resolve it and is extrapolated beyond; budgets
 derived from it are deliberately conservative (the exponent is halved).
 """
 
@@ -26,11 +27,13 @@ from .errors import ValidationError
 
 TABLE_FILE = "calibration.json"
 TABLE_MAX_N = 10**14
+DELTA_TR = 0.05  # failure level the radius table is calibrated against
 
 CAL_DIMS = (2, 3, 4, 8)
 CAL_GRID = (100, 1_000, 10_000, 100_000, 1_000_000)
+MIN_SHOTS = CAL_GRID[0]  # no schedule runs below the first calibrated cell
 BENCHMARK_STATES = 500
-TARGET_FAIL = 0.02  # stricter than the advertised 0.05 to leave test margin
+TARGET_FAIL = 0.02  # stricter than the advertised DELTA_TR to leave test margin
 INFLATION = 1.05
 TAIL_SAFETY = 0.5
 TAIL_FLOOR = 0.5
@@ -66,8 +69,7 @@ def lookup_constant(d: int, N):
     """Radius constant for the largest calibrated shot count <= N, or for the
     smallest one when N is below them all; elementwise for an array of N."""
     shots, constants, _ = _dim_constants(d)
-    c = constants[np.maximum(np.searchsorted(shots, N, side="right") - 1, 0)]
-    return float(c) if np.ndim(N) == 0 else c
+    return constants[np.maximum(np.searchsorted(shots, N, side="right") - 1, 0)]
 
 
 def tail_exponent(d: int) -> float:
@@ -82,14 +84,13 @@ def build_table(
     """Regenerate the radius table from fresh benchmark runs."""
     from . import seeding
     from .linalg import StateVector, outer, trace_distance
-    from .tomo import MIN_SHOTS, reconstruct, setting_count, StateOracle
+    from .tomo import reconstruct, setting_count, StateOracle
 
-    assert min(CAL_GRID) >= MIN_SHOTS
     table: dict = {
         "version": 1,
         "seed": seed,
         "benchmark_states": states,
-        "delta": 0.05,
+        "delta": DELTA_TR,
         "target_fail": TARGET_FAIL,
         "dims": {},
     }
@@ -144,12 +145,12 @@ def _smallest_constant(errors: np.ndarray, d: int, n_shots: int) -> float:
 
 
 def _fit_tail(scaled: np.ndarray) -> float:
-    """Conservative exponent a in P[err > kappa*eps] ~ 0.05 exp(-a(k^2-1))."""
+    """Conservative exponent a in P[err > kappa*eps] ~ DELTA_TR exp(-a(k^2-1))."""
     n = scaled.size
     candidates = []
     for kappa in (1.25, 1.5, 2.0):
         exceed = (np.count_nonzero(scaled > kappa) + 1) / (n + 1)
-        candidates.append(-np.log(exceed / 0.05) / (kappa**2 - 1.0))
+        candidates.append(-np.log(exceed / DELTA_TR) / (kappa**2 - 1.0))
     a = max(TAIL_FLOOR, TAIL_SAFETY * min(candidates))
     return float(a)
 

@@ -25,7 +25,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .config import MAX_DIM
+from .config import MAX_DIM, TOL
 from .errors import (
     DimensionMismatchError,
     InvalidMapError,
@@ -191,6 +191,6 @@ def g_functional(xs: np.ndarray, rhos: np.ndarray, perps: np.ndarray) -> np.ndar
 def g_normalized(g: np.ndarray) -> np.ndarray:
     """g / |g|, the circle-valued form; a zero g anywhere is an explicit failure."""
     mag = np.abs(g)
-    if np.any(mag < 1e-12):
+    if np.any(mag < TOL.nonzero):
         raise ZeroFunctionalError("g vanishes; cannot normalize")
     return g / mag

@@ -98,6 +98,8 @@ def _cmd_tomo(args) -> dict:
 
 
 def _cmd_superpose(args) -> dict:
+    if args.trials < 1:  # every report records --trials, entangled or not
+        raise ValidationError(f"need at least one trial, got {args.trials}")
     u, v = _load_density(args.u), _load_density(args.v)
     oracle_u, oracle_v = StateOracle(u), StateOracle(v)
     if u.dim != v.dim:  # before the budget search at u's dimension

@@ -229,7 +229,8 @@ def save_state(path: Union[str, Path], state: Union[StateVector, DensityOperator
 
 def load_state(path: Union[str, Path]) -> PureDensity:
     """Read a state file as a checked pure density: a vector's projector, or a
-    density as it is if pure and divided by its trace if not."""
+    density as it is if pure, and divided by its trace if it is Hermitian and
+    PSD as given but not pure."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -266,6 +267,7 @@ def load_state(path: Union[str, Path]) -> PureDensity:
         try:
             return PureDensity(matrix)
         except ValidationError:
+            DensityOperator(matrix)  # a Hermitian or PSD failure as given is final
             return PureDensity(matrix / trace)
 
 

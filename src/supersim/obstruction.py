@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError, RefinementNeededError, ValidationError, ZeroFunctionalError,
 )
+from .config import TOL
 from .circuits import AMap, _candidate_output, g_functional, g_normalized
 from .linalg import StateVector, outers, trace_distance
 from .superpose import SuperpositionSpec, target_superposition, threshold
@@ -74,7 +75,7 @@ def winding_number(points: np.ndarray) -> int:
     gap = abs(z[0] - z[-1])
     if gap > 1e-9:
         raise ValidationError(f"loop not closed (gap {gap:.2e})")
-    if np.any(np.abs(z) < 1e-12):
+    if np.any(np.abs(z) < TOL.nonzero):
         raise ValidationError("loop passes through zero")
     steps = np.angle(z[1:] / z[:-1])
     if np.any(np.abs(steps) >= np.pi - 1e-9):

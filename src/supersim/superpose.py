@@ -195,8 +195,8 @@ def _budget_schedules(
     The N stage needs eps_vec + 2*delta_vec <= t_n and the M stage
     2*eps_vec + 4*delta_vec <= t_m.  Scaling by 2 is exact in floating
     point, so the M cost is exactly twice the N cost, and one pass over the
-    (N, kappa) grid serves both searches.  Only the two chosen schedules
-    are built, so both still pass every `TomographySchedule` check.
+    (N, kappa) grid serves both searches.  Only the two chosen cells are
+    built, each through `schedule_for`, which checks them as it checks any.
     """
     t_n, t_m = budget_thresholds(spec, d, eps)
     costs = _budget_costs(d)

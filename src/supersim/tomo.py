@@ -12,7 +12,8 @@ Counts travel as one int64 array with a row per setting, in setting order,
 and estimates as stacks, one row per seed of `vector_tomography`, so a
 single run is a stack of one, with the bits it would have alone.
 `radii` is the one definition of the calibrated radii and failure credit,
-for one shot count or a whole grid of them; `schedule_for` is its one-cell case.
+for one shot count or a whole grid of them; `schedule_for` is its one-cell
+case and the one gate on a schedule (shot count and widening kappa).
 A `StateOracle` is the only way in: it refuses a state above
 `config.MAX_TOMO_DIM` (`load_state` refuses such a file before it forms any
 matrix), and it keeps only the state's Born tables, so nothing reaches the
@@ -30,33 +31,22 @@ import numpy as np
 
 from . import seeding
 from .errors import InvariantViolation, ValidationError
-from .calibration import lookup_constant, tail_exponent, TABLE_MAX_N
+from .calibration import DELTA_TR, MIN_SHOTS, TABLE_MAX_N, lookup_constant, tail_exponent
 from .config import MAX_TOMO_DIM
 from .linalg import PureDensity, dominant_pure, row_norms
 from .vecfun import select_r, select_r_paired, vec_i
 
-MIN_SHOTS = 100
-DELTA_TR = 0.05  # failure level the radius table is calibrated against
-
 
 @dataclass(frozen=True)
 class TomographySchedule:
-    """Shot budget with its trace-norm and vector guarantees."""
+    """Shot budget with its trace-norm and vector guarantees; `schedule_for`
+    checks and builds it."""
 
     N: int
     eps_tr: float
     delta_tr: float
     eps_vec: float
     delta_vec: float
-
-    def __post_init__(self):
-        if self.N < MIN_SHOTS:
-            raise ValidationError(f"shot count {self.N} below minimum {MIN_SHOTS}")
-        if self.eps_tr <= 0 or self.eps_vec <= 0:
-            raise ValidationError("radii must be positive")
-        for delta in (self.delta_tr, self.delta_vec):
-            if not 0.0 < delta < 1.0:
-                raise ValidationError(f"failure probability {delta} outside (0,1)")
 
 
 @dataclass(frozen=True)
@@ -185,9 +175,12 @@ def radii(d: int, N, kappa) -> tuple:
 def schedule_for(d: int, N: int, kappa: float = 1.0) -> TomographySchedule:
     """Schedule of `radii` at one shot count N and widening kappa: the
     calibrated failure level DELTA_TR for kappa = 1, or a wider trace radius
-    (kappa > 1) traded for a smaller failure probability."""
+    (kappa > 1) traded for a smaller failure probability.  The tail credit
+    is fitted for widenings only, so a kappa below 1 (or NaN) is refused."""
     if not MIN_SHOTS <= N <= TABLE_MAX_N:
         raise ValidationError(f"shot count {N} outside [{MIN_SHOTS}, {TABLE_MAX_N:.0e}]")
+    if not kappa >= 1.0:
+        raise ValidationError(f"widening {kappa} must be at least 1")
     eps_tr, delta, eps_vec = radii(d, N, kappa)
     return TomographySchedule(
         N=int(N),

@@ -149,12 +149,17 @@ class TestCliRejections:
         [
             {"dim": -2, "kind": "density", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]},
             {"dim": 2, "kind": "vector", "data": [[10**400, 0], [0, 0]]},
+            [2, "vector", [[1, 0], [0, 0]]],
+            {"dim": 2, "kind": "vector"},
+            {"dim": 2, "kind": "mixed", "data": [[1, 0], [0, 0]]},
+            {"dim": 2, "kind": "density", "data": [[1, 0], [0, 0], [0, 0]]},
         ],
     )
     def test_malformed_state_file(self, tmp_path, capsys, payload):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
-        _expect_envelope(capsys, ["tomo", "--state", str(path), "--shots", "1000"])
+        error = _expect_envelope(capsys, ["tomo", "--state", str(path), "--shots", "1000"])
+        assert error["type"] == "ValidationError"
 
     def test_table1_zero_runs(self, capsys):
         _expect_envelope(capsys, ["table1", "--runs", "0"])
@@ -208,6 +213,16 @@ class TestCliRejections:
         save_state(path, haar_vector(rng, 17))
         error = _expect_envelope(capsys, [a.format(s=path) for a in argv])
         assert "tomography cap" in error["message"]
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    @pytest.mark.parametrize("mode", [[], ["--entangled"]], ids=["single", "entangled"])
+    def test_superpose_needs_a_trial(self, tmp_path, capsys, mode, trials):
+        # Every superpose report records --trials, so every mode checks it.
+        path = tmp_path / "zero.json"
+        path.write_text('{"dim": 2, "kind": "vector", "data": [[1.0, 0.0], [0.0, 0.0]]}')
+        argv = ["superpose", "--u", str(path), "--v", str(path), "--trials", trials]
+        error = _expect_envelope(capsys, argv + mode)
+        assert error["message"] == f"need at least one trial, got {trials}"
 
     def test_exact_superpose_checks_eps(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
@@ -282,6 +297,13 @@ class TestStateFiles:
         # A subnormal trace has no finite reciprocal; 1e308 + 1e308 overflows.
         path = _write_state(tmp_path / "rho.json", 2, "density", data)
         assert "density trace" in _refused_quietly(capfd, ["tomo", "--state", path])
+
+    def test_a_density_that_is_not_psd_as_given_keeps_that_message(self, tmp_path, capfd):
+        # Dividing by the trace 1e-300 would overflow the entries to inf.
+        data = [[1e-300, 0.0], [1e10, 0.0], [1e10, 0.0], [0.0, 0.0]]
+        path = _write_state(tmp_path / "rho.json", 2, "density", data)
+        message = _refused_quietly(capfd, ["tomo", "--state", path])
+        assert message == "negative eigenvalue -1.00e+10"
 
     def test_overflowing_vector_norm(self, tmp_path, capfd):
         path = _write_state(tmp_path / "v.json", 2, "vector", [[1e200, 0.0], [1e200, 0.0]])

@@ -11,6 +11,7 @@ from supersim.calibration import TABLE_MAX_N, _dim_entry, tail_exponent
 from supersim.errors import (
     BudgetExceededError,
     DegenerateSuperpositionError,
+    DimensionMismatchError,
     InvariantViolation,
     ValidationError,
     ZeroFunctionalError,
@@ -260,6 +261,11 @@ class TestRandomSuperposition:
         out = random_superposition(StateOracle(u), StateOracle(v), EQUAL, None, 3)
         assert 0.0 <= out.phi_r < 2 * np.pi
 
+    def test_oracles_of_different_dimensions(self, rng):
+        u, v = haar_density(rng, 2), haar_density(rng, 3)
+        with pytest.raises(DimensionMismatchError, match="dims 2 and 3 differ"):
+            random_superposition(StateOracle(u), StateOracle(v), EQUAL, None, 3)
+
 
 class TestEntangled:
     def test_exact_single_block(self):
@@ -286,6 +292,11 @@ class TestEntangled:
             StateOracle(u), StateOracle(v), EQUAL, copies_budget(EQUAL, 2, 1.0), 5, trials=20
         )
         assert sum(weights.values()) == pytest.approx(1.0)
+
+    def test_needs_a_trial(self):
+        u = StateOracle(outer(basis_state(2, 0)))
+        with pytest.raises(ValidationError, match="at least one trial, got 0"):
+            entangled_superposition(u, u, EQUAL, None, 1, trials=0)
 
 
 
@@ -410,6 +421,16 @@ class TestVectorTransferCheck:
         u = haar_density(rng, 3)
         with pytest.raises(InvariantViolation, match="transfer bound"):
             random_superposition(StateOracle(u), StateOracle(u), EQUAL, None, 0)
+
+
+class TestOutputTraceFloorCheck:
+    def test_an_output_below_the_floor_is_refused(self, monkeypatch, rng):
+        # The triangle inequality keeps every real output at or above the
+        # floor, so the check is reached by raising the floor past it.
+        monkeypatch.setattr(superpose, "trace_floor", lambda spec, d: 5.0)
+        u, v = haar_density(rng, 2), haar_density(rng, 2)
+        with pytest.raises(InvariantViolation, match="below floor 5.000e"):
+            random_superposition(StateOracle(u), StateOracle(v), EQUAL, None, 0)
 
 
 def ref_figure_of_merit(outcomes, u, v, spec, phis=None):

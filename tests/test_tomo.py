@@ -18,7 +18,6 @@ from supersim.linalg import (
 from supersim.tomo import (
     MAX_TOMO_DIM,
     StateOracle,
-    TomographySchedule,
     VectorEstimate,
     _probabilities,
     reconstruct,
@@ -108,7 +107,14 @@ class TestSettings:
 class TestSchedule:
     def test_minimum_shots(self):
         with pytest.raises(ValidationError):
-            TomographySchedule(N=10, eps_tr=0.1, delta_tr=0.05, eps_vec=0.2, delta_vec=0.05)
+            schedule_for(2, 10)
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.0, -1.0, float("nan")])
+    def test_widening_below_one_is_refused(self, kappa):
+        # The tail credit is fitted for widenings only: at kappa = 0.5 it would
+        # credit half the calibrated radius with a failure level of 0.091.
+        with pytest.raises(ValidationError, match="widening"):
+            schedule_for(2, 1000, kappa)
 
     def test_eps_monotone_in_shots(self):
         shots = [100, 1000, 10**4, 10**5, 10**6, 10**8]
@@ -354,6 +360,16 @@ def test_build_table_matches_the_per_state_loop(tmp_path):
         assert table["dims"][d]["cells"] == cells
         assert table["dims"][d]["tail"] == tail
     assert packaged.read_bytes() == before
+
+
+def test_shipped_table_is_calibrated_against_the_module_constants():
+    shipped = json.loads(
+        resources.files("supersim.data").joinpath(calibration.TABLE_FILE).read_text()
+    )
+    assert shipped["delta"] == calibration.DELTA_TR == tomo.DELTA_TR
+    assert calibration.MIN_SHOTS == calibration.CAL_GRID[0] == tomo.MIN_SHOTS
+    for entry in shipped["dims"].values():
+        assert entry["cells"][0][0] == calibration.MIN_SHOTS
 
 
 def test_shipped_table_is_what_build_table_gives(monkeypatch, tmp_path):
