@@ -14,8 +14,9 @@ takes an (n, 2) stack).
 
 A candidate map (`AMap`) acts on stacks of 2x2 densities.
 `_candidate_output` evaluates it once on an (n, 2) stack of unit kets and
-checks the output stack once; `g_functional` and `g_normalized` read those
-evaluated outputs, one value per row, and call no candidate themselves.
+checks once that the output stack holds densities; `g_functional` and
+`g_normalized` read those evaluated outputs, one value per row, and call no
+candidate themselves.
 """
 
 from __future__ import annotations
@@ -160,7 +161,10 @@ def _candidate_output(A: AMap, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     `xs` is an (n, 2) stack of unit kets.  Returns the candidate's outputs
     divided by their traces, (n, 2, 2), and the complement kets, (n, 2).
-    The output stack is checked once: its shape, and every trace positive.
+    The output stack is checked once: its shape, every trace positive, and
+    every output over its trace a density within `DensityOperator`'s bounds.
+    A unit-trace 2x2 matrix is PSD exactly when its determinant is
+    nonnegative, so the check is element-wise, with no eigendecomposition.
     """
     perps = orthogonal_complement(xs).conj()
     out = A(outers(xs), outers(perps))
@@ -172,7 +176,15 @@ def _candidate_output(A: AMap, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     bad = ~(traces > 0.0)  # NaN traces fail too
     if bad.any():
         raise InvalidMapError(f"candidate trace {traces[bad][0]} is not positive")
-    return out / traces[:, None, None], perps
+    rhos = out / traces[:, None, None]
+    defect = np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max()
+    det = (rhos[:, 0, 0] * rhos[:, 1, 1] - rhos[:, 0, 1] * rhos[:, 1, 0]).real.min()
+    if not (defect <= 1e-9 and det >= -1e-10):  # NaN fails too
+        raise InvalidMapError(
+            f"candidate output is not a density (largest Hermitian defect {defect:.2e},"
+            f" smallest determinant {det:.2e} at unit trace)"
+        )
+    return rhos, perps
 
 
 def g_functional(xs: np.ndarray, rhos: np.ndarray, perps: np.ndarray) -> np.ndarray:

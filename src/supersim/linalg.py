@@ -231,9 +231,9 @@ def load_state(path: Union[str, Path]) -> PureDensity:
     """Read a state file as a checked pure density: a vector's projector, or a
     density as it is if pure, and divided by its trace if it is Hermitian and
     PSD as given but not pure."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    try:  # from bytes, json detects UTF-8, -16 or -32 whatever the locale
+        payload = json.loads(Path(path).read_bytes())
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or encoding
         raise ValidationError(f"cannot read state file {path}: {exc}") from exc
     try:
         dim, kind, data = payload["dim"], payload["kind"], payload["data"]

@@ -5,8 +5,7 @@ forms the weighted sum of their column vectors vec_i(x, r) at a random
 column-index pair r, and renormalizes.  The relative phase of the output is
 not controlled: r sets it, and both are reported alongside the state.
 `copies_budget` sizes the shot counts so the figure of merit stays below a
-requested error, and `figure_of_merit` scores any multi-outcome map against
-its per-index targets.
+requested error.
 
 The pipeline takes two `StateOracle`s and the two tomography schedules,
 either those `copies_budget` returns or None for noiseless tomography;
@@ -27,13 +26,15 @@ evaluates at one cell, and takes the smallest N whose best kappa meets the
 target.  The second stage's cost is exactly twice the first's (scaling by
 2 is exact in floating point), so one grid serves both stages.
 
-Targets are plain (..., d, d) arrays that only `target_superposition`
-forms, for one pair of vectors or for the stacks the obstruction audit and
-`figure_of_merit` score.  `_pair_targets` gives the targets of index pairs
-on the true states, which are also the noiseless entangled blocks.  One
-pair is the stack with no leading axes, so its coefficient alpha e^{i phi}
-stays a scalar product: numpy's array loop rounds it differently.  Each canonical and column vector is computed once
-per run and passed on.
+A run is scored against the noiseless output at its index pair r: the
+pipeline's weighted sum of column vectors, taken on the true states
+(`_pair_targets`), which is also the entangled block at r.
+`figure_of_merit` is the one scorer: it scores any multi-outcome map
+against those targets, and a single run's merit (`superposition_error`) is
+the map with one outcome.  Targets are plain (..., d, d) arrays that only
+`target_superposition` forms, for one pair of vectors or for the stacks
+that the index pairs and the obstruction audit give.  Each canonical and
+column vector is computed once per run and passed on.
 """
 
 from __future__ import annotations
@@ -217,39 +218,31 @@ def copies_budget(
     return _budget_schedules(spec, d, eps)
 
 
-def _implied_phase(c: np.ndarray, v: np.ndarray, spec: SuperpositionSpec) -> np.ndarray:
-    """Phases phi in [0, 2pi) with alpha e^{i phi} c[0] + beta c[1] prop. to
+def _implied_phase(c: np.ndarray, v: np.ndarray, spec: SuperpositionSpec) -> float:
+    """The phase phi in [0, 2pi) with alpha e^{i phi} c[0] + beta c[1] prop. to
     |alpha| v[0] + |beta| v[1], for the canonical vectors c (2, d) and the
-    column vectors v (2, ..., d) of two states: one phase per row of v."""
-    phi = (
+    column vectors v (2, d) of two states."""
+    phi = float(np.mod(
         np.angle(np.vecdot(c[0], v[0]))
         - np.angle(np.vecdot(c[1], v[1]))
         - np.angle(spec.alpha)
-        + np.angle(spec.beta)
-    )
-    phi = np.mod(phi, 2.0 * np.pi)
-    return np.where(phi >= 2.0 * np.pi, 0.0, phi)  # mod can round up to the period
+        + np.angle(spec.beta),
+        2.0 * np.pi,
+    ))
+    return 0.0 if phi >= 2.0 * np.pi else phi  # mod can round up to the period
 
 
-def _pair_vecs(truth: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Column vectors of the true states (u, v), a (2, d, d) stack, at one index
-    pair (2,) or at every pair of an (n, 2) stack: row (s, k) is state s at pair k."""
-    idx = pairs.T
-    stacked = truth.reshape((2,) + (1,) * (idx.ndim - 1) + truth.shape[1:])
-    return vec_i(np.broadcast_to(stacked, idx.shape + truth.shape[1:]), idx)
-
-
-def _pair_targets(
-    u: PureDensity, v: PureDensity, pairs, spec: SuperpositionSpec, phis=None
-) -> np.ndarray:
+def _pair_targets(u: PureDensity, v: PureDensity, pairs, spec: SuperpositionSpec) -> np.ndarray:
     """Targets of one index pair (2,) or an (n, 2) stack of them on the true
-    states u, v: the superposition of their canonical vectors at the phase
-    each pair implies, or at `phis`, one per pair."""
-    truth = np.stack((u.matrix, v.matrix))
-    c = canonical_vec(truth)
-    if phis is None:
-        phis = _implied_phase(c, _pair_vecs(truth, np.asarray(pairs)), spec)
-    return target_superposition(c[0], c[1], spec, phis)
+    states u, v: the noiseless output at each pair, |alpha| vec_i(u, r[0]) +
+    |beta| vec_i(v, r[1]) renormalized.  At phi = arg beta - arg alpha,
+    `target_superposition` forms e^{i arg beta} times that sum, so a pair
+    whose vectors cancel is refused as any target is."""
+    idx = np.asarray(pairs).T  # row s holds state s's index at each pair
+    shape = u.matrix.shape
+    truth = np.stack((u.matrix, v.matrix)).reshape((2,) + (1,) * (idx.ndim - 1) + shape)
+    vu, vv = vec_i(np.broadcast_to(truth, idx.shape + shape), idx)
+    return target_superposition(vu, vv, spec, np.angle(spec.beta) - np.angle(spec.alpha))
 
 
 def _combine(vx: np.ndarray, vy: np.ndarray, spec: SuperpositionSpec) -> np.ndarray:
@@ -307,7 +300,7 @@ def random_superposition(
     return RandomSuperpositionOutcome(
         r=(int(est_x.r[0]), int(est_y.r[0])),
         state=outers(w[0]),
-        phi_r=float(_implied_phase(canonical_vec(x), vecs, spec)),
+        phi_r=_implied_phase(canonical_vec(x), vecs, spec),
     )
 
 
@@ -317,9 +310,9 @@ def superposition_error(
     v: PureDensity,
     spec: SuperpositionSpec,
 ) -> float:
-    """Trace distance of an outcome to its per-index target on the true states."""
-    target = _pair_targets(u, v, outcome.r, spec)
-    return float(trace_distance(outcome.state, target))
+    """The figure of merit of one run: the trace distance of its output to the
+    noiseless output at its index pair, on the true states."""
+    return figure_of_merit({outcome.r: (1.0, outcome.state)}, u, v, spec)
 
 
 def entangled_superposition(
@@ -359,15 +352,13 @@ def figure_of_merit(
     u: PureDensity,
     v: PureDensity,
     spec: SuperpositionSpec,
-    phis: Optional[Mapping[IndexPair, float]] = None,
 ) -> float:
     """Success-normalized summed trace error against per-index targets.
 
-    Each outcome is (weight, unnormalized (d, d) density); its target is the
-    superposition of the true canonical vectors at the phase phis[r]
-    (default: the phase the index pair implies).  All outcomes are scored
-    as one stack; those with zero weight or zero trace contribute nothing
-    and build no target.
+    Each outcome is (weight, unnormalized (d, d) density), and its target is
+    the noiseless output at its index pair (`_pair_targets`).  All outcomes
+    are scored as one stack; those with zero weight or zero trace contribute
+    nothing and build no target.
     """
     w = np.array([weight for weight, _ in outcomes.values()], dtype=float)
     tr = np.array([np.trace(op).real for _, op in outcomes.values()])
@@ -377,7 +368,6 @@ def figure_of_merit(
     keep = (w != 0.0) & (tr != 0.0)
     kept = [r for r, k in zip(outcomes, keep) if k]
     ops = np.stack([outcomes[r][1] for r in kept])
-    phi = None if phis is None else np.array([phis[r] for r in kept])
-    targets = _pair_targets(u, v, kept, spec, phi)
+    targets = _pair_targets(u, v, kept, spec)
     errors = trace_distance(ops, tr[keep, None, None] * targets)
     return float(np.sum(w[keep] * errors) / p_succ)

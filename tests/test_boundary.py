@@ -310,6 +310,31 @@ class TestStateFiles:
         assert _refused_quietly(capfd, ["tomo", "--state", path]) == "norm inf is not 1"
 
     @pytest.mark.parametrize(
+        "content", [b"\xff", b"[" * 100_000], ids=["not_unicode", "nested_too_deeply"]
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tomo", "--state", "{s}"],
+            ["superpose", "--u", "{s}", "--v", "{s}", "--exact"],
+            ["audit", "--candidate", "constant", "--x0", "{s}"],
+        ],
+        ids=["tomo", "superpose", "audit"],
+    )
+    def test_an_unreadable_file_is_refused(self, tmp_path, capfd, content, argv):
+        path = tmp_path / "s.json"
+        path.write_bytes(content)
+        message = _refused_quietly(capfd, [a.format(s=path) for a in argv])
+        assert message.startswith("cannot read state file")
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+    def test_a_unicode_file_is_read_in_any_encoding(self, tmp_path, encoding):
+        text = json.dumps({"dim": 2, "kind": "vector", "data": [[0.6, 0.0], [0.0, 0.8]]})
+        path = tmp_path / "v.json"
+        path.write_bytes(text.encode(encoding))
+        assert np.array_equal(load_state(path).matrix, outer(StateVector([0.6, 0.8j])).matrix)
+
+    @pytest.mark.parametrize(
         "data", [[[True, False], [False, False]], [[True, 0.0], [0.0, 0.0]]], ids=["all", "mixed"]
     )
     def test_boolean_amplitudes_are_refused(self, tmp_path, capfd, data):

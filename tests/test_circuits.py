@@ -22,7 +22,7 @@ from supersim.linalg import (
     outer,
     trace_distance,
 )
-from supersim.obstruction import BUILTIN_CANDIDATES, ideal_candidate
+from supersim.obstruction import BUILTIN_CANDIDATES, ideal_candidate, obstruction_audit
 from supersim.superpose import SuperpositionSpec
 
 EQUAL = SuperpositionSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -263,6 +263,26 @@ class TestGFunctional:
         for A in (constant_map(np.zeros((2, 2))), nan_second):
             with pytest.raises(InvalidMapError):
                 g_of(A, xs)
+
+    @pytest.mark.parametrize(
+        "matrix", [np.diag([2.0, -1.0]), [[0.5, 0.4], [-0.4, 0.5]], [[0.5, 0.0], [1e-8, 0.5]]],
+        ids=["not_psd", "not_hermitian", "hermitian_defect"],
+    )
+    def test_an_output_that_is_not_a_density_is_rejected(self, matrix):
+        # diag(2, -1) has trace 1, and scored as a state its error exceeds 2.
+        xs = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)
+        with pytest.raises(InvalidMapError, match="not a density"):
+            g_of(constant_map(matrix), xs)
+        with pytest.raises(InvalidMapError, match="not a density"):
+            obstruction_audit(constant_map(matrix), EQUAL, StateVector(xs[1]), 64)
+
+    def test_an_output_at_the_bounds_is_accepted(self):
+        # Within DensityOperator's bounds: defect 1e-9, smallest eigenvalue
+        # (hence the unit-trace determinant) about -1e-10.
+        xs = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)
+        for matrix in ([[0.5, 0.0], [1e-9, 0.5]], np.diag([1.0 + 0.99e-10, -0.99e-10])):
+            rhos, _ = _candidate_output(constant_map(matrix), xs)
+            DensityOperator(rhos[0])
 
     def test_wrong_output_shape_rejected(self):
         xs = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)

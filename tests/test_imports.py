@@ -107,8 +107,7 @@ def test_private_scan_flags_a_dead_name():
 
 
 UNUSED_PUBLIC = {
-    "circuits.apply_postselection": "ROADMAP item 2 gives it a CLI path",
-    "superpose.figure_of_merit": "ROADMAP item 7 gives it a CLI path",
+    "circuits.apply_postselection": "ROADMAP items 2 and 4 give it a CLI path",
     "linalg.save_state": "writes the format load_state reads; the tests and README use it",
 }
 

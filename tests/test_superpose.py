@@ -433,35 +433,80 @@ class TestOutputTraceFloorCheck:
             random_superposition(StateOracle(u), StateOracle(v), EQUAL, None, 0)
 
 
-def ref_figure_of_merit(outcomes, u, v, spec, phis=None):
-    """The per-outcome loop the stacked scoring replaced, kept as the reference,
-    with each phase from `np.vdot` and each target from its formula."""
+def ref_pair_target(u, v, r, spec):
+    """The target formula `_pair_targets` replaced, kept as the reference: the
+    superposition of the true canonical vectors at the phase r implies, with
+    each phase from `np.vdot`."""
     c = [canonical_vec(u.matrix), canonical_vec(v.matrix)]
+    vu, vv = vec_i(u.matrix, r[0]), vec_i(v.matrix, r[1])
+    phi = (np.angle(np.vdot(c[0], vu)) - np.angle(np.vdot(c[1], vv))
+           - np.angle(spec.alpha) + np.angle(spec.beta))
+    t = spec.alpha * np.exp(1j * phi) * c[0] + spec.beta * c[1]
+    t = t / np.linalg.norm(t)
+    return np.outer(t, t.conj())
+
+
+def ref_figure_of_merit(outcomes, u, v, spec):
+    """The per-outcome loop the stacked scoring replaced, kept as the reference."""
     p_succ = sum(w * np.trace(op).real for w, op in outcomes.values())
     total = 0.0
     for r, (w, op) in outcomes.items():
         tr = np.trace(op).real
         if w == 0.0 or tr == 0.0:
             continue
-        if phis is not None:
-            phi = phis[r]
-        else:
-            vu, vv = vec_i(u.matrix, r[0]), vec_i(v.matrix, r[1])
-            phi = (np.angle(np.vdot(c[0], vu)) - np.angle(np.vdot(c[1], vv))
-                   - np.angle(spec.alpha) + np.angle(spec.beta))
-        t = spec.alpha * np.exp(1j * phi) * c[0] + spec.beta * c[1]
-        t = t / np.linalg.norm(t)
-        diff = op - tr * np.outer(t, t.conj())
+        diff = op - tr * ref_pair_target(u, v, r, spec)
         total += w * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
     return total / p_succ
 
 
+COEFF_CASES = {
+    "equal": EQUAL,
+    "unequal": SuperpositionSpec(0.8, 0.3),
+    "complex": SuperpositionSpec(0.8 * np.exp(0.3j), 0.6 * np.exp(-1.2j)),
+    "equal_complex": SuperpositionSpec(0.6 * np.exp(2.1j), 0.6 * np.exp(-0.4j)),
+}
+
+
+class TestPairTargets:
+    """The target at an index pair is the noiseless output there; it agrees
+    with the canonical-vector formula at the phase the pair implies."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("coeffs", sorted(COEFF_CASES))
+    def test_every_pair_matches_the_canonical_formula(self, d, coeffs):
+        rng = np.random.default_rng(90 + d)
+        spec = COEFF_CASES[coeffs]
+        pairs = [(i, j) for i in range(d) for j in range(d)]
+        for _ in range(3):
+            u, v = haar_density(rng, d), haar_density(rng, d)
+            want = [ref_pair_target(u, v, r, spec) for r in pairs]
+            np.testing.assert_allclose(_pair_targets(u, v, pairs, spec), want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(_pair_targets(u, v, pairs[-1], spec), want[-1],
+                                       rtol=0, atol=1e-12)
+
+    def test_is_the_noiseless_run_output(self, rng):
+        for d, coeffs in [(2, "equal"), (3, "complex"), (5, "unequal")]:
+            spec = COEFF_CASES[coeffs]
+            u, v = haar_density(rng, d), haar_density(rng, d)
+            out = random_superposition(StateOracle(u), StateOracle(v), spec, None, 3)
+            np.testing.assert_allclose(_pair_targets(u, v, out.r, spec), out.state,
+                                       rtol=0, atol=1e-12)
+
+    def test_a_cancelling_pair_is_refused(self):
+        # Column 1 of |-><-| is -|->, so equal weights on columns 0 and 1 cancel.
+        minus = outer(StateVector(np.array([1.0, -1.0]) / np.sqrt(2)))
+        with pytest.raises(DegenerateSuperpositionError):
+            _pair_targets(minus, minus, (0, 1), EQUAL)
+        with pytest.raises(DegenerateSuperpositionError):
+            _pair_targets(minus, minus, [(0, 0), (0, 1)], EQUAL)
+
+
 class TestFigureOfMerit:
     @pytest.mark.parametrize("d", [2, 3, 5])
-    @pytest.mark.parametrize("with_phis", [False, True])
-    def test_stack_matches_the_per_outcome_loop(self, d, with_phis):
+    @pytest.mark.parametrize("equal_magnitudes", [False, True])
+    def test_stack_matches_the_per_outcome_loop(self, d, equal_magnitudes):
         rng = np.random.default_rng(70 + d)
-        spec = SuperpositionSpec(0.8 * np.exp(0.3j), 0.6 * np.exp(-1.2j))
+        spec = COEFF_CASES["equal_complex" if equal_magnitudes else "complex"]
         u, v = haar_density(rng, d), haar_density(rng, d)
         pairs = [(i, j) for i in range(d) for j in range(d)]
         outcomes = {}
@@ -470,16 +515,14 @@ class TestFigureOfMerit:
             outcomes[r] = (rng.uniform(), rng.uniform() * rho)
         outcomes[pairs[0]] = (0.0, outcomes[pairs[0]][1])  # zero weight
         outcomes[pairs[-1]] = (0.3, np.zeros((d, d)))  # zero trace
-        phis = {r: rng.uniform(0, 2 * np.pi) for r in pairs} if with_phis else None
-        got = figure_of_merit(outcomes, u, v, spec, phis)
-        assert got == pytest.approx(ref_figure_of_merit(outcomes, u, v, spec, phis),
-                                    rel=0, abs=1e-14)
+        got = figure_of_merit(outcomes, u, v, spec)
+        assert got == pytest.approx(ref_figure_of_merit(outcomes, u, v, spec), rel=0, abs=1e-14)
 
     def test_ignored_outcomes_build_no_target(self, monkeypatch, rng):
         built = []
 
         def counting(u, v, spec, phi):
-            built.append(np.shape(phi))
+            built.append(u.shape[:-1])
             return target(u, v, spec, phi)
 
         target = superpose.target_superposition
@@ -492,11 +535,11 @@ class TestFigureOfMerit:
         assert built == [(1,)]
 
     def test_perfect_match(self, rng):
+        # A noiseless run's output, at any trace, is its own target.
         u, v = haar_density(rng, 2), haar_density(rng, 2)
-        phis = {(0, 0): 1.1}
-        target = target_superposition(canonical_vec(u.matrix), canonical_vec(v.matrix), EQUAL, 1.1)
-        outcomes = {(0, 0): (1.0, 0.7 * target)}
-        assert figure_of_merit(outcomes, u, v, EQUAL, phis) == pytest.approx(0.0, abs=1e-12)
+        out = random_superposition(StateOracle(u), StateOracle(v), EQUAL, None, 5)
+        outcomes = {out.r: (1.0, 0.7 * out.state)}
+        assert figure_of_merit(outcomes, u, v, EQUAL) == pytest.approx(0.0, abs=1e-12)
 
     def test_default_phase_is_the_one_the_index_pair_implies(self, rng):
         # The noiseless output of index pair r is |alpha| vec_r0(u) + |beta| vec_r1(v),
@@ -512,10 +555,12 @@ class TestFigureOfMerit:
         assert figure_of_merit(outcomes, u, v, spec) == pytest.approx(0.0, abs=1e-12)
 
     def test_opposite_phase_scores_two(self):
+        # For u = |0>, v = |1> the target at (0, 0) is |+>: v's column 0 is
+        # zero, so its scan falls through to column 1.
         u, v = outer(basis_state(2, 0)), outer(basis_state(2, 1))
         minus = target_superposition(np.eye(2)[0], np.eye(2)[1], EQUAL, np.pi)
         outcomes = {(0, 0): (1.0, minus)}
-        assert figure_of_merit(outcomes, u, v, EQUAL, {(0, 0): 0.0}) == pytest.approx(2.0)
+        assert figure_of_merit(outcomes, u, v, EQUAL) == pytest.approx(2.0)
 
     def test_zero_trace_outcome_harmless(self, rng):
         u, v = outer(basis_state(2, 0)), outer(basis_state(2, 1))
@@ -524,8 +569,17 @@ class TestFigureOfMerit:
             (0, 0): (0.5, plus),
             (0, 1): (0.5, np.zeros((2, 2))),
         }
-        merit = figure_of_merit(outcomes, u, v, EQUAL, {(0, 0): 0.0, (0, 1): 0.0})
-        assert merit == pytest.approx(0.0, abs=1e-12)
+        assert figure_of_merit(outcomes, u, v, EQUAL) == pytest.approx(0.0, abs=1e-12)
+
+    def test_one_run_is_scored_as_a_one_outcome_map(self, rng):
+        u, v = haar_density(rng, 3), haar_density(rng, 3)
+        spec = COEFF_CASES["complex"]
+        out = random_superposition(StateOracle(u), StateOracle(v), spec,
+                                   copies_budget(spec, 3, 1.5), 2)
+        merit = superposition_error(out, u, v, spec)
+        assert merit == figure_of_merit({out.r: (1.0, out.state)}, u, v, spec)
+        assert merit == pytest.approx(ref_figure_of_merit({out.r: (1.0, out.state)}, u, v, spec),
+                                      rel=0, abs=1e-14)
 
     def test_zero_success_raises(self, rng):
         u, v = outer(basis_state(2, 0)), outer(basis_state(2, 1))
